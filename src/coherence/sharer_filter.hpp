@@ -20,11 +20,10 @@
 // Either way the filter perturbs only *timing* (which L1s get snooped, and
 // which NoC invalidation messages travel): functional values live in the
 // ByteStore image, and the tag caches are timing state, so lossiness here
-// cannot corrupt results — the same safety argument the relaxed parallel
-// engine's deferred invalidations rely on.
+// cannot corrupt results.
 //
-// Thread-safety: none; the Uncore mutates the filter only inside
-// engine-locked sections (same rule as every shared timeline).
+// Thread-safety: none; the filter belongs to one Uncore, whose tiles run
+// one after another (same rule as every shared timeline).
 #pragma once
 
 #include <array>

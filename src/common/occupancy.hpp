@@ -37,11 +37,9 @@
 //
 // Thread-safety: none here by design.  Timelines are not internally
 // synchronized — chunk-directory growth (touch_chunk's resize + slab
-// bump) and the booking bit-twiddles race if called concurrently.  The
-// parallel engine keeps them safe by construction: every book()/book_span()
-// against a SHARED timeline happens inside a section holding the uncore's
-// engine mutex (see Uncore::set_engine_locking; serial/lockstep engines are
-// single-booker by schedule and skip the lock entirely).
+// bump) and the booking bit-twiddles race if called concurrently.  A
+// System runs its tiles one after another on the calling thread, so every
+// shared timeline has exactly one booker at a time.
 #pragma once
 
 #include <cassert>

@@ -289,8 +289,7 @@ bool OooCore::step_impl(Cycle limit, std::uint64_t stop_uop, const CancelToken* 
           }
           // The loaded value only matters when the uop asks for a check
           // (functional_stores workloads); gating on check_value keeps the
-          // shared image off the hot path, which in turn keeps the parallel
-          // engine's image lock off every plain load.
+          // shared image's page-map lookup off every plain load.
           if (image_ != nullptr && op.check_value) {
             const std::uint64_t v = image_->load64(final_addr);
             if (v != op.value) {

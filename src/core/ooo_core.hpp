@@ -102,12 +102,12 @@ class OooCore {
   /// sliced and unsliced paths can never drift apart.
   RunResult run(InstrStream& program, const CancelToken* cancel = nullptr);
 
-  // --- resumable stepper (parallel multi-tile engine) ---------------------
-  // A tile thread runs the same model in bounded quanta: begin_run binds the
-  // stream and allocates the pipeline state, step_until advances until the
-  // dispatch front (the model's monotone progress measure) passes the cycle
-  // limit or the stream ends, finish_run yields the aggregate result.  The
-  // uop sequence and every per-uop computation are identical to run() —
+  // --- resumable stepper (run() and the sampling controller) ---------------
+  // The same model in bounded slices: begin_run binds the stream and
+  // allocates the pipeline state, step_until advances until the dispatch
+  // front (the model's monotone progress measure) passes the cycle limit or
+  // the stream ends, finish_run yields the aggregate result.  The uop
+  // sequence and every per-uop computation are identical to run() —
   // slicing only chooses where the loop pauses between micro-ops.
 
   /// Binds @p program and resets the pipeline state for a new run.  Any
@@ -145,7 +145,7 @@ class OooCore {
                          std::uint64_t count, double cpi);
 
   /// The dispatch front: cycle of the current fetch group.  Monotone over a
-  /// run; the parallel engine's skew measure.  Valid between begin_run and
+  /// run; the sampling controller's clock.  Valid between begin_run and
   /// finish_run.
   Cycle front() const;
 

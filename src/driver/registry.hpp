@@ -1,7 +1,6 @@
 // Named machine-configuration and workload registries — the single source
-// of truth the experiment specs (and the thin bench wrappers) reference,
-// replacing the per-binary copy-pasted config tables the paper benches
-// used to carry.
+// of truth the experiment specs reference, replacing the per-binary
+// copy-pasted config tables the paper benches used to carry.
 //
 // The built-ins (the three Table 1 machines, the six NAS-signature
 // kernels) are installed on first use; tests and future experiments can

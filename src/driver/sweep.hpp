@@ -37,16 +37,15 @@ namespace hm::driver {
 /// original bench binaries, so address streams match across variants.
 PointResult run_point(const SweepPoint& p, const CancelToken* cancel = nullptr);
 
-/// run_point with an explicit engine configuration (tile threads, sync
-/// mode, quantum/skew).  Engine knobs never enter the point's canonical
-/// identity: the default lockstep engine is byte-identical to serial at any
-/// thread count, and configurations where that does not hold
-/// (engine_alters_results) are kept out of caches/journals by run_sweep.
+/// run_point with an explicit engine configuration (sampling).  Engine
+/// knobs never enter the point's canonical identity: configurations that
+/// change results (engine_alters_results) are kept out of caches/journals
+/// by run_sweep.
 PointResult run_point(const SweepPoint& p, const EngineConfig& engine,
                       const CancelToken* cancel = nullptr);
 
 struct SweepOptions {
-  unsigned jobs = 0;                     ///< worker threads; 0 = auto (cores / tile_threads)
+  unsigned jobs = 0;                     ///< worker threads; 0 = auto (hardware threads)
   std::string cache_dir;                 ///< on-disk memo cache; "" = off
   RunCache* session_cache = nullptr;     ///< cross-experiment in-memory cache
   std::optional<double> scale_override;  ///< quick-look rescale (not the paper tables)
@@ -59,13 +58,11 @@ struct SweepOptions {
   std::map<std::string, std::string> knob_overrides;
   std::function<void(std::size_t done, std::size_t total)> progress;
 
-  /// Parallel multi-tile engine for every executed point (see
-  /// hm::EngineConfig).  Elided from the canonical point identity — cache
-  /// and journal keys are engine-independent — which is sound because the
-  /// default lockstep engine is byte-identical to serial.  When the
-  /// configuration can change results (engine_alters_results: relaxed mode
-  /// or a finite lockstep quantum), run_sweep disables the disk cache, the
-  /// session cache and the journal for the sweep so approximate numbers
+  /// Engine configuration for every executed point (see hm::EngineConfig).
+  /// Elided from the canonical point identity — cache and journal keys are
+  /// engine-independent.  When the configuration can change results
+  /// (engine_alters_results: sampling), run_sweep disables the disk cache,
+  /// the session cache and the journal for the sweep so approximate numbers
   /// never contaminate exact ones.
   EngineConfig engine;
 
@@ -149,10 +146,5 @@ struct SweepView {
 std::string render(const SweepOutcome& out);
 std::string to_json(const SweepOutcome& out);
 std::string to_csv(const SweepOutcome& out);
-
-/// Thin main() for the paper bench binaries: run the named experiment on
-/// all cores (no cache — bench runs stay hermetic) and print the rendered
-/// table on stdout.  Returns a process exit code.
-int bench_main(const std::string& experiment);
 
 }  // namespace hm::driver

@@ -30,7 +30,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "common/occupancy.hpp"
@@ -140,28 +139,6 @@ class MemoryHierarchy {
   /// machine's uncore, or null to own a private single-tile one.
   MemoryHierarchy(HierarchyConfig cfg, Uncore* shared);
 
-  /// Scoped engine-mutex guard for the shared-uncore sections (L2/L3/DRAM
-  /// content and ports, shared prefetchers).  A no-op — one predictable
-  /// branch — unless the uncore's engine locking is on (relaxed parallel
-  /// mode).  The guarded sections are the outermost shared entry points
-  /// (access miss path, wt_store tail, L1-prefetch fill, DMA ops), so the
-  /// guard never nests.
-  class UncoreGuard {
-   public:
-    explicit UncoreGuard(Uncore& u)
-        : mu_(u.engine_locking() ? &u.engine_mutex() : nullptr) {
-      if (mu_ != nullptr) mu_->lock();
-    }
-    ~UncoreGuard() {
-      if (mu_ != nullptr) mu_->unlock();
-    }
-    UncoreGuard(const UncoreGuard&) = delete;
-    UncoreGuard& operator=(const UncoreGuard&) = delete;
-
-   private:
-    std::mutex* mu_;
-  };
-
   /// Per-access scratch for the hierarchy-level counters: the hot path
   /// accumulates into plain integers and access() commits them to the
   /// StatGroup counters once, instead of chasing Counter pointers at every
@@ -245,7 +222,7 @@ class MemoryHierarchy {
   // keeps the shared timelines dense across fast-forwarded regions so the
   // detailed intervals between them observe realistic contention, and the
   // queued drain times give the replayed store buffer real back-pressure.
-  // No MSHRs, no UncoreGuard: the sampled engine is serial by construction.
+  // No MSHRs.
   Cycle functional_fill_from_below(Cycle now, Addr addr, Addr pc, Scratch& sc,
                                    SetAssocCache::LookupResult* l2_loc = nullptr);
   void functional_l2_victim(Cycle now, const EvictedLine& v, Scratch& sc);

@@ -18,28 +18,6 @@
 
 namespace hm {
 
-/// Parallel multi-tile engine configuration.  The default (tile_threads=1)
-/// is the serial reference engine: tiles run to completion one after
-/// another in tile order.  With tile_threads > 1 a SPMD run executes on a
-/// per-point tile thread pool in one of two synchronization modes:
-///
-///  * Lockstep — deterministic turn-taking: exactly one tile advances at a
-///    time, in tile order, each turn bounded by `quantum` simulated cycles
-///    (0 = run-to-completion turns).  The (round, tile) schedule is a pure
-///    function of the configuration, so results are byte-identical across
-///    runs and thread counts; with quantum=0 the schedule IS the serial
-///    engine's, making the default lockstep engine byte-identical to
-///    tile_threads=1 at any thread count.  A finite quantum interleaves
-///    shared-uncore bookings at quantum granularity — deterministic, but a
-///    different (more barrier-faithful) contention model than serial.
-///  * Relaxed — true concurrency: tiles free-run on worker threads, shared
-///    uncore sections serialize on one engine mutex, and a skew bound keeps
-///    any tile's dispatch front within `skew_bound` cycles of the slowest
-///    unfinished tile at every scheduling point.  Results are NOT
-///    deterministic (booking interleave follows wall-clock scheduling);
-///    aggregate instruction counts are exact, timing varies within the
-///    skew bound.  The observed maximum grant-time skew is reported in
-///    RunReport::max_tile_skew.
 /// Sampled-simulation configuration (interval sampling à la SMARTS): the
 /// controller alternates detailed execution with functional fast-forward of
 /// batch-compiled work iterations.  Each sampling unit runs `warmup_uops` of
@@ -59,27 +37,17 @@ struct SamplingConfig {
   bool enabled() const { return mode != Mode::Off; }
 };
 
+/// Engine configuration.  Tiles always run in tile order against the shared
+/// uncore (the serial reference engine); the only knob is sampling.
 struct EngineConfig {
-  enum class Sync : std::uint8_t { Lockstep, Relaxed };
-  unsigned tile_threads = 1;  ///< <=1: serial reference engine
-  Sync sync = Sync::Lockstep;
-  Cycle quantum = 0;          ///< lockstep turn length; 0 = whole-run turns
-  Cycle skew_bound = 8192;    ///< relaxed max front skew (cycles, >= 1)
-  /// Sampled simulation.  When enabled the run is forced onto the serial
-  /// engine (tile_threads is ignored), so sampled results are deterministic
-  /// across thread-count knobs; cycles/energy become estimates.
+  /// Sampled simulation.  Cycles/energy become estimates.
   SamplingConfig sampling;
 };
 
-/// True when @p e can produce results that differ from the serial engine
-/// (sampling estimates, relaxed interleaving, or lockstep with a finite
-/// quantum).  Callers keying caches/journals on the canonical point
-/// identity — which elides engine knobs — must not store such results.
-inline bool engine_alters_results(const EngineConfig& e) {
-  return e.sampling.enabled() ||
-         (e.tile_threads > 1 &&
-          (e.sync == EngineConfig::Sync::Relaxed || e.quantum != 0));
-}
+/// True when @p e can produce results that differ from the detailed engine
+/// (sampling estimates).  Callers keying caches/journals on the canonical
+/// point identity — which elides engine knobs — must not store such results.
+inline bool engine_alters_results(const EngineConfig& e) { return e.sampling.enabled(); }
 
 /// Per-tile section of a run: one entry per tile that executed a program.
 /// The activity figures are the tile-private share (core pipeline, L1, LM,
@@ -148,18 +116,12 @@ struct RunReport {
 
   std::vector<TileReport> tiles;  ///< per-tile sections, tile order
 
-  /// Relaxed parallel engine only: maximum observed cycle skew between any
-  /// tile's dispatch front and the slowest unfinished tile, measured at
-  /// every scheduling grant.  Bounded by EngineConfig::skew_bound.  Always
-  /// 0 for the serial and lockstep engines.  In-memory diagnostic — never
-  /// serialized (golden/cache formats are engine-independent).
-  Cycle max_tile_skew = 0;
-
   /// Sampled engine only: conservative relative error bound on the cycle
   /// (and hence energy) estimate, derived from the spread of the measured
   /// per-interval CPI samples over the fast-forwarded uops — worst tile of
   /// the run.  0 when sampling is off or nothing was fast-forwarded.
-  /// In-memory diagnostic — never serialized, like max_tile_skew.
+  /// In-memory diagnostic — never serialized (golden/cache formats are
+  /// engine-independent).
   double sample_error = 0.0;
 
   /// Sampled engine only: fraction of all retired uops that were replayed
@@ -206,10 +168,7 @@ class System {
   RunReport run(const std::vector<InstrStream*>& programs,
                 const CancelToken* cancel = nullptr);
 
-  /// Select the engine for subsequent run() calls.  Takes effect only on
-  /// multi-program SPMD runs with tile_threads > 1; single-program and
-  /// single-tile runs always use the serial reference engine.  See
-  /// EngineConfig for the determinism contract.
+  /// Select the engine for subsequent run() calls (see EngineConfig).
   void set_engine(const EngineConfig& engine) { engine_ = engine; }
   const EngineConfig& engine() const { return engine_; }
 
@@ -231,17 +190,6 @@ class System {
 
  private:
   void reset_timing_state();
-
-  /// Tile-execution phase of an SPMD run, parallel engines.  Each fills
-  /// results[i] for every tile with a program; cancellation and tile-thread
-  /// errors propagate as exceptions after all workers joined.
-  void run_tiles_lockstep(const std::vector<InstrStream*>& programs,
-                          std::vector<RunResult>& results,
-                          const CancelToken* cancel, unsigned threads);
-  /// Returns the maximum grant-time cycle skew observed (<= skew_bound).
-  Cycle run_tiles_relaxed(const std::vector<InstrStream*>& programs,
-                          std::vector<RunResult>& results,
-                          const CancelToken* cancel, unsigned threads);
 
   /// Per-tile outcome of a sampled run (feeds RunReport::sample_error and
   /// RunReport::sampled_fraction).

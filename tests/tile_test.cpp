@@ -1,11 +1,16 @@
 // Tile-based multicore tests: shared-uncore wiring, the dma-put
 // invalidation broadcast across tiles, SPMD workload partitioning,
 // aggregate report semantics (cycles = max over tiles, counts summed),
-// per-tile cold-machine isolation across repeated runs, and core-count
-// scaling monotonicity on the NAS kernels.
+// per-tile cold-machine isolation across repeated runs, core-count
+// scaling monotonicity on the NAS kernels, and cancellation of a
+// multi-tile run (pre-cancelled token, cycle budget, cancel from another
+// thread).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "driver/sweep.hpp"
@@ -249,6 +254,79 @@ TEST(Tile, CoresKnobValidation) {
   p.workload = "micro";
   p.knobs["cores"] = "2";
   EXPECT_THROW(run_point(p), std::invalid_argument);
+}
+
+// --- cancellation ------------------------------------------------------------
+
+driver::SweepPoint ft_point(unsigned cores, double scale) {
+  driver::SweepPoint p;
+  p.label = "tile_cancel/FT/hybrid_coherent";
+  p.machine = "hybrid_coherent";
+  p.workload = "FT";
+  p.scale = scale;
+  p.knobs["cores"] = std::to_string(cores);
+  return p;
+}
+
+/// Empty stream that counts fetch attempts.
+class CountingStream final : public InstrStream {
+ public:
+  bool next(MicroOp&) override {
+    ++fetched;
+    return false;
+  }
+  void reset() override {}
+
+  unsigned fetched = 0;
+};
+
+TEST(Tile, PreCancelledTokenAbortsBeforeAnyTileRuns) {
+  CancelToken token;
+  token.cancel();
+  try {
+    driver::run_point(ft_point(4, 0.05), &token);
+    FAIL() << "pre-cancelled token did not abort the run";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.reason(), CancelledError::Reason::External);
+  }
+
+  // The between-tile poll in System::run rejects the run before tile 0
+  // fetches anything; the core's own poll would only fire after its first
+  // fetch.
+  System sys(MachineConfig::hybrid_coherent(), 4);
+  std::vector<CountingStream> streams(4);
+  std::vector<InstrStream*> programs;
+  for (CountingStream& s : streams) programs.push_back(&s);
+  EXPECT_THROW(sys.run(programs, &token), CancelledError);
+  for (std::size_t i = 0; i < streams.size(); ++i)
+    EXPECT_EQ(streams[i].fetched, 0u) << "tile " << i << " ran after cancel";
+}
+
+TEST(Tile, CycleBudgetCancelsWithDeterministicReason) {
+  CancelToken token;
+  token.set_cycle_limit(20'000);
+  try {
+    driver::run_point(ft_point(4, 0.1), &token);
+    FAIL() << "cycle budget did not fire";
+  } catch (const CancelledError& e) {
+    EXPECT_EQ(e.reason(), CancelledError::Reason::CycleLimit);
+  }
+}
+
+TEST(Tile, CancelFromAnotherThreadStopsTheRun) {
+  // Cancel mid-run from another thread: the run must throw, not run to
+  // completion (uncancelled, the point runs about 20x longer than the
+  // cancel delay) and not hang (the ctest timeout would catch that).
+  CancelToken token;
+  std::atomic<bool> fired{false};
+  std::thread killer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    token.cancel();
+    fired.store(true);
+  });
+  EXPECT_THROW(driver::run_point(ft_point(4, 2.0), &token), CancelledError);
+  killer.join();
+  EXPECT_TRUE(fired.load());
 }
 
 }  // namespace
