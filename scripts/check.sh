@@ -24,6 +24,12 @@ fi
 # and ci.yml's can no longer drift apart.
 (cd build && ./hm_sweep run --filter fig7 --jobs 2 --no-cache --quiet)
 
+# Sampled-engine smoke: the same driver path under interval sampling, so the
+# descriptor compiler, the batch-bound stream and the functional
+# fast-forward run end to end here and not only in ctest.
+(cd build && ./hm_sweep run --filter fig8 --sample interval --scale 0.1 --jobs 2 \
+  --no-cache --no-journal --quiet)
+
 # Observability smoke: the same experiment with tracing + metrics on, then
 # the trace validator and the metrics-name lint over the artifacts.
 rm -rf build/obs_smoke

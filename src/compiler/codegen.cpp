@@ -25,24 +25,63 @@ CompiledKernel::CompiledKernel(LoopNest loop, Classification cls, TilePlan plan,
     : loop_(std::move(loop)), cls_(std::move(cls)), plan_(std::move(plan)), opt_(opt) {
   tiled_ = opt_.variant != CodegenVariant::CacheOnly && !plan_.buffers.empty();
 
-  // Static code layout: distinct pcs per reference and role, so the
-  // IP-indexed prefetchers see one stream per strided reference.
-  Addr pc = opt_.code_base;
-  const auto next_pc = [&pc] { Addr p = pc; pc += 4; return p; };
-  load_pc_.resize(loop_.refs.size());
-  store_pc_.resize(loop_.refs.size());
-  extra_store_pc_.resize(loop_.refs.size());
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    load_pc_[i] = next_pc();
-    store_pc_[i] = next_pc();
-    extra_store_pc_[i] = next_pc();
-  }
-  alu_pc_base_ = next_pc();
-  pc += 4 * (loop_.int_ops_per_iter + loop_.fp_ops_per_iter);
-  branch_pc_ = next_pc();
-  data_branch_pc_ = next_pc();
+  // Static code layout: distinct pcs per reference and role (load, store,
+  // the double store's plain twin), so the IP-indexed prefetchers see one
+  // stream per strided reference; the ALU ops, the back-edge and the data
+  // branch follow.
+  const auto ref_pc = [this](unsigned ref, unsigned role) {
+    return opt_.code_base + 4 * (3 * static_cast<Addr>(ref) + role);
+  };
+  const unsigned n = static_cast<unsigned>(loop_.refs.size());
+  alu_pc_base_ = ref_pc(n, 0);
+  branch_pc_ = alu_pc_base_ + 4 * (1 + loop_.int_ops_per_iter + loop_.fp_ops_per_iter);
+  data_branch_pc_ = branch_pc_ + 4;
 
-  mem_slot_count_ = loop_.refs.size();  // one resolved address per ref
+  // Any potentially incoherent reference — indirect, chased, or a demoted
+  // strided ref that may alias a live LM chunk — is guarded on the
+  // protocol variant; a store among them that may alias a read-only buffer
+  // also gets the double store.
+  const bool guard_on = tiled_ && opt_.variant == CodegenVariant::HybridProtocol &&
+                        !opt_.drop_guards;
+  slots_.reserve(n);
+  for (const bool writes : {false, true}) {
+    for (unsigned i = 0; i < n; ++i) {
+      const MemRef& r = loop_.refs[i];
+      if (r.is_write != writes) continue;
+      const ClassifiedRef& cr = cls_.refs[i];
+      const ArrayDecl& arr = loop_.array_of(r);
+      const bool guarded = guard_on && cr.cls == RefClass::PotentiallyIncoherent;
+      ReplaySlot sl;
+      sl.ref = static_cast<std::uint16_t>(i);
+      if (r.pattern != PatternKind::Strided) {
+        // Data-dependent SM address: the element is drawn per iteration.
+        sl.addr = {arr.base, arr.elem_size, /*tile_local=*/false, /*irregular=*/true};
+      } else {
+        const std::uint64_t stride =
+            static_cast<std::uint64_t>(r.stride < 0 ? -r.stride : r.stride);
+        if (tiled_ && cr.cls == RefClass::Regular) {
+          // LM buffer address: buffer base + offset inside the current chunk.
+          const BufferPlan& bp = plan_.buffers[static_cast<unsigned>(cr.lm_buffer)];
+          sl.addr = {bp.lm_base, stride * arr.elem_size, /*tile_local=*/true, false};
+        } else {
+          // SM address (cache variant, or a demoted strided reference).
+          sl.addr = {arr.base, stride * arr.elem_size, /*tile_local=*/false, false};
+        }
+      }
+      if (!writes) {
+        sl.kind = guarded ? OpKind::GuardedLoad : OpKind::Load;
+        sl.pc = ref_pc(i, 0);
+      } else {
+        sl.kind = guarded ? OpKind::GuardedStore : OpKind::Store;
+        sl.double_store = guarded && cr.needs_double_store &&
+                          !opt_.disable_readonly_opt && !opt_.suppress_double_store;
+        sl.pc = ref_pc(i, 1);
+        sl.extra_pc = ref_pc(i, 2);
+        sl.has_value = opt_.functional_stores;
+      }
+      slots_.push_back(sl);
+    }
+  }
 
   reset();
 }
@@ -61,8 +100,7 @@ void CompiledKernel::reset() {
 }
 
 std::uint64_t CompiledKernel::store_value(unsigned ref, std::uint64_t iter) {
-  // SplitMix64 mix of (ref, iter): deterministic and collision-poor.
-  return splitmix64_mix((static_cast<std::uint64_t>(ref) << 48) ^ iter ^ kGoldenGamma);
+  return replay_store_value(ref, iter);
 }
 
 std::uint32_t CompiledKernel::all_tags_mask() const {
@@ -71,25 +109,11 @@ std::uint32_t CompiledKernel::all_tags_mask() const {
   return mask;
 }
 
-Addr CompiledKernel::regular_address(unsigned ref, std::uint64_t global_iter) const {
-  const MemRef& r = loop_.refs[ref];
-  const ArrayDecl& arr = loop_.array_of(r);
-  const std::uint64_t s = static_cast<std::uint64_t>(r.stride < 0 ? -r.stride : r.stride);
-
-  if (tiled_ && cls_.refs[ref].cls == RefClass::Regular) {
-    // LM buffer address: buffer base + offset inside the current chunk.
-    const BufferPlan& bp = plan_.buffers[static_cast<unsigned>(cls_.refs[ref].lm_buffer)];
-    const std::uint64_t local = global_iter % plan_.iters_per_tile;
-    return bp.lm_base + local * s * arr.elem_size;
-  }
-  // SM address (cache variant, or a demoted strided reference).
-  return arr.base + global_iter * s * arr.elem_size;
-}
-
-Addr CompiledKernel::irregular_address(unsigned ref, std::uint64_t global_iter, Rng& rng) const {
+std::uint64_t CompiledKernel::irregular_element(unsigned ref, std::uint64_t global_iter) {
   const MemRef& r = loop_.refs[ref];
   const ArrayDecl& arr = loop_.array_of(r);
   const IrregularSpec& spec = r.irregular;
+  Rng& rng = ref_rng_[ref];
 
   // The same draws happen in every variant (same RNG state), so the address
   // streams are identical and runs are directly comparable.
@@ -115,7 +139,13 @@ Addr CompiledKernel::irregular_address(unsigned ref, std::uint64_t global_iter, 
   } else {
     elem = rng.below(arr.elements);
   }
-  return arr.base + elem * arr.elem_size;
+  return elem;
+}
+
+std::uint8_t CompiledKernel::draw_data_branch() {
+  if (loop_.data_branch_fraction > 0.0 && branch_rng_.chance(loop_.data_branch_fraction))
+    return branch_rng_.chance(0.5) ? 2 : 1;
+  return 0;
 }
 
 void CompiledKernel::push_mem(OpKind kind, ExecPhase phase, Addr pc, Addr addr,
@@ -202,65 +232,41 @@ void CompiledKernel::resolve_work_iteration(std::uint64_t g, Addr* addrs,
                                             std::uint8_t& db) {
   if (bound_ != nullptr) {
     // Batch-bound (sampled) mode: the draws were made once when the batch
-    // was compiled; read them back without touching the RNGs, which is
-    // what makes whole iterations skippable.
-    const Addr* src = bound_->iter_addrs(g);
-    std::copy(src, src + bound_->num_slots(), addrs);
-    db = bound_->db_code[g];
+    // was compiled; decode them without touching the RNGs, which is what
+    // makes whole iterations skippable.
+    bound_->decode(g, addrs, db);
     return;
   }
   // Strided refs address by induction variable (an LM buffer when mapped,
   // the SM when demoted); the rest draw data-dependent SM addresses.  The
-  // draw order — loads in reference order, then stores in reference order,
-  // then the branch draw — is the emission order and must never change:
-  // the address streams are pinned by the goldens across all variants.
-  std::size_t s = 0;
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    const MemRef& r = loop_.refs[i];
-    if (r.is_write) continue;
-    addrs[s++] = r.pattern == PatternKind::Strided
-                     ? regular_address(i, g)
-                     : irregular_address(i, g, ref_rng_[i]);
+  // draw order — slot order, then the branch draw — is the emission order
+  // and must never change: the address streams are pinned by the goldens
+  // across all variants.
+  const std::uint64_t local = tiled_ ? g % plan_.iters_per_tile : g;
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    const SlotAddress& a = slots_[s].addr;
+    addrs[s] = a.irregular ? a.at(irregular_element(slots_[s].ref, g)) : a.strided(g, local);
   }
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    const MemRef& r = loop_.refs[i];
-    if (!r.is_write) continue;
-    addrs[s++] = r.pattern == PatternKind::Strided
-                     ? regular_address(i, g)
-                     : irregular_address(i, g, ref_rng_[i]);
-  }
-  db = 0;
-  if (loop_.data_branch_fraction > 0.0 && branch_rng_.chance(loop_.data_branch_fraction))
-    db = branch_rng_.chance(0.5) ? 2 : 1;
+  db = draw_data_branch();
 }
 
 void CompiledKernel::emit_work_iteration(std::uint64_t g) {
-  addr_scratch_.resize(mem_slot_count_);
+  addr_scratch_.resize(slots_.size());
   std::uint8_t db = 0;
   resolve_work_iteration(g, addr_scratch_.data(), db);
 
   const std::uint8_t base = window_base(g);
-  unsigned load_slot = 0;
   std::uint8_t last_loaded = 0;
-  std::size_t slot = 0;
+  std::size_t s = 0;
 
-  // Loads, in reference order.
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    const MemRef& r = loop_.refs[i];
-    if (r.is_write) continue;
-    const RefClass cls = cls_.refs[i].cls;
-    const std::uint8_t dst = static_cast<std::uint8_t>(base + (load_slot++ % kLoadRegs));
+  // Loads (the leading slots), in reference order.
+  for (; s < slots_.size() && (slots_[s].kind == OpKind::Load ||
+                               slots_[s].kind == OpKind::GuardedLoad);
+       ++s) {
+    const ReplaySlot& sl = slots_[s];
+    const std::uint8_t dst = static_cast<std::uint8_t>(base + (s % kLoadRegs));
     last_loaded = dst;
-
-    // Any potentially incoherent reference — indirect, chased, or a demoted
-    // strided ref that may alias a live LM chunk — is guarded.
-    const Addr addr = addr_scratch_[slot++];
-    OpKind kind = OpKind::Load;
-    if (cls == RefClass::PotentiallyIncoherent && tiled_ &&
-        opt_.variant == CodegenVariant::HybridProtocol && !opt_.drop_guards) {
-      kind = OpKind::GuardedLoad;
-    }
-    push_mem(kind, ExecPhase::Work, load_pc_[i], addr, dst, 0, i, g);
+    push_mem(sl.kind, ExecPhase::Work, sl.pc, addr_scratch_[s], dst, 0, sl.ref, g);
   }
 
   // Compute chain: INT then FP ops, each depending on a loaded value and on
@@ -284,25 +290,14 @@ void CompiledKernel::emit_work_iteration(std::uint64_t g) {
   const std::uint8_t computed = prev != 0 ? prev : last_loaded;
 
   // Stores, in reference order.
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    const MemRef& r = loop_.refs[i];
-    if (!r.is_write) continue;
-    const ClassifiedRef& cr = cls_.refs[i];
-
-    const Addr addr = addr_scratch_[slot++];
-    OpKind kind = OpKind::Store;
-    bool double_store = false;
-    if (cr.cls == RefClass::PotentiallyIncoherent && tiled_ &&
-        opt_.variant == CodegenVariant::HybridProtocol && !opt_.drop_guards) {
-      kind = OpKind::GuardedStore;
-      double_store = cr.needs_double_store && !opt_.disable_readonly_opt &&
-                     !opt_.suppress_double_store;
-    }
-    push_mem(kind, ExecPhase::Work, store_pc_[i], addr, 0, computed, i, g);
-    if (double_store) {
+  for (; s < slots_.size(); ++s) {
+    const ReplaySlot& sl = slots_[s];
+    push_mem(sl.kind, ExecPhase::Work, sl.pc, addr_scratch_[s], 0, computed, sl.ref, g);
+    if (sl.double_store) {
       // The conventional store of the double store: same operands, same SM
       // address; always updates the copy in the SM (§3.1).
-      push_mem(OpKind::Store, ExecPhase::Work, extra_store_pc_[i], addr, 0, computed, i, g);
+      push_mem(OpKind::Store, ExecPhase::Work, sl.extra_pc, addr_scratch_[s], 0, computed,
+               sl.ref, g);
     }
   }
 
@@ -407,43 +402,6 @@ bool CompiledKernel::next(MicroOp& op) {
 // ---------------------------------------------------------------------------
 // ReplayableStream: the sampled engine's view of the kernel.
 
-std::vector<ReplaySlot> CompiledKernel::replay_slots() const {
-  // Mirrors emit_work_iteration's static decisions exactly: loads in ref
-  // order, then stores in ref order, guard and double-store flags resolved
-  // from the classification once.
-  std::vector<ReplaySlot> out;
-  const bool guard_on = tiled_ && opt_.variant == CodegenVariant::HybridProtocol &&
-                        !opt_.drop_guards;
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    if (loop_.refs[i].is_write) continue;
-    ReplaySlot s;
-    s.kind = guard_on && cls_.refs[i].cls == RefClass::PotentiallyIncoherent
-                 ? OpKind::GuardedLoad
-                 : OpKind::Load;
-    s.pc = load_pc_[i];
-    s.ref = static_cast<std::uint16_t>(i);
-    out.push_back(s);
-  }
-  for (unsigned i = 0; i < loop_.refs.size(); ++i) {
-    if (!loop_.refs[i].is_write) continue;
-    const ClassifiedRef& cr = cls_.refs[i];
-    ReplaySlot s;
-    if (guard_on && cr.cls == RefClass::PotentiallyIncoherent) {
-      s.kind = OpKind::GuardedStore;
-      s.double_store = cr.needs_double_store && !opt_.disable_readonly_opt &&
-                       !opt_.suppress_double_store;
-    } else {
-      s.kind = OpKind::Store;
-    }
-    s.pc = store_pc_[i];
-    s.extra_pc = extra_store_pc_[i];
-    s.ref = static_cast<std::uint16_t>(i);
-    s.has_value = opt_.functional_stores;
-    out.push_back(s);
-  }
-  return out;
-}
-
 std::uint64_t CompiledKernel::tile_end_of(std::uint64_t g) const {
   return tiled_ ? std::min((g / plan_.iters_per_tile + 1) * plan_.iters_per_tile,
                            loop_.iterations)
@@ -472,7 +430,7 @@ std::uint64_t CompiledKernel::skip_work_iterations(std::uint64_t n) {
 
 void CompiledKernel::bind_replay(std::shared_ptr<const ReplayBatch> batch) {
   if (batch != nullptr &&
-      (batch->num_slots() != mem_slot_count_ || batch->iterations != loop_.iterations))
+      (batch->num_slots() != slots_.size() || batch->iterations != loop_.iterations))
     throw std::invalid_argument("replay batch shape does not match kernel");
   bound_ = std::move(batch);
 }

@@ -110,23 +110,23 @@ class CompiledKernel final : public ReplayableStream {
   void emit_epilogue();
   void emit_epilogue_synch();
 
-  /// Resolve the data-dependent parts of work iteration @p g, consuming the
+  /// Resolve the addresses of work iteration @p g, consuming the
   /// per-reference and branch RNG draws exactly as unbatched emission
   /// would: one address per memory slot (loads in ref order, then stores in
   /// ref order) into @p addrs, and the data-branch draw into @p db (0
-  /// absent / 1 not taken / 2 taken).  Both emission and the descriptor
-  /// compiler funnel through this so the streams cannot drift.
+  /// absent / 1 not taken / 2 taken).  When a batch is bound, the batch's
+  /// decoder answers instead and the RNGs stay untouched.
   void resolve_work_iteration(std::uint64_t g, Addr* addrs, std::uint8_t& db);
 
-  /// Static memory-slot shape shared by every work iteration (the per-ref
-  /// half of a ReplayBatch).
-  std::vector<ReplaySlot> replay_slots() const;
   /// First iteration (exclusive) a skip starting at @p g may not reach:
   /// the end of g's tile, or of the loop.
   std::uint64_t tile_end_of(std::uint64_t g) const;
 
-  Addr regular_address(unsigned ref, std::uint64_t global_iter) const;
-  Addr irregular_address(unsigned ref, std::uint64_t global_iter, Rng& rng) const;
+  /// Element index that irregular reference @p ref touches at iteration
+  /// @p global_iter (one draw from the reference's RNG).
+  std::uint64_t irregular_element(unsigned ref, std::uint64_t global_iter);
+  /// The data-dependent branch draw of one iteration (0/1/2, as db above).
+  std::uint8_t draw_data_branch();
   std::uint32_t all_tags_mask() const;
 
   void push_mem(OpKind kind, ExecPhase phase, Addr pc, Addr addr, std::uint8_t dst,
@@ -137,13 +137,13 @@ class CompiledKernel final : public ReplayableStream {
   TilePlan plan_;
   CodegenOptions opt_;
   bool tiled_ = false;  ///< hybrid variants with at least one mapped ref
-  std::size_t mem_slot_count_ = 0;   ///< memory slots per work iteration
-  std::vector<Addr> addr_scratch_;   ///< per-iteration resolved addresses
 
-  // Static code layout: one pc per (ref, role) slot, assigned once.
-  std::vector<Addr> load_pc_;    // per ref
-  std::vector<Addr> store_pc_;   // per ref
-  std::vector<Addr> extra_store_pc_;  // the st of a double store
+  // Static shape of a work iteration, resolved once: one slot per memory
+  // reference in emission order (loads in ref order, then stores in ref
+  // order) with its op kind, pcs and address formula.  Emission, the
+  // descriptor compiler and the functional executor all read it.
+  std::vector<ReplaySlot> slots_;
+  std::vector<Addr> addr_scratch_;   ///< per-iteration resolved addresses
   Addr alu_pc_base_ = 0;
   Addr branch_pc_ = 0;
   Addr data_branch_pc_ = 0;

@@ -1,7 +1,9 @@
 #include "compiler/replay.hpp"
 
+#include <limits>
 #include <list>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 
@@ -84,16 +86,16 @@ std::uint64_t CompiledKernel::replay_key() const {
 }
 
 ReplayBatch build_replay_batch(const CompiledKernel& kernel) {
-  // Resolve on a pristine copy: the caller's RNG cursors and stream
-  // position stay untouched, and the copy starts from reset() state so the
-  // batch holds iteration 0's draws first regardless of where the caller
+  // Draw on a pristine copy: the caller's RNG cursors and stream position
+  // stay untouched, and the copy starts from reset() state so the batch
+  // holds iteration 0's draws first regardless of where the caller
   // currently is.
   CompiledKernel k = kernel;
   k.bound_.reset();
   k.reset();
 
   ReplayBatch b;
-  b.slots = k.replay_slots();
+  b.slots = k.slots_;
   b.iterations = k.loop_.iterations;
   b.iters_per_tile = k.tiled_ ? k.plan_.iters_per_tile : 0;
   b.key = k.replay_key();
@@ -152,17 +154,34 @@ ReplayBatch build_replay_batch(const CompiledKernel& kernel) {
   sh.reg_reads = reads;
   sh.reg_writes = load_slots + alus;
 
-  const std::size_t S = b.slots.size();
-  b.addrs.resize(S * b.iterations);
-  b.db_code.resize(b.iterations);
-  b.db_before.resize(b.iterations + 1);
+  // Payload: only the RNG draws.  Strided slots decode from their formula;
+  // each irregular slot stores its element index, which must fit 32 bits.
+  for (const ReplaySlot& s : b.slots) {
+    if (!s.addr.irregular) continue;
+    if (k.loop_.array_of(k.loop_.refs[s.ref]).elements >
+        std::numeric_limits<std::uint32_t>::max())
+      throw std::length_error(k.loop_.name +
+                              ": irregular array too large for a replay batch (>= 2^32 elements)");
+    ++b.irregular_slots;
+  }
+  const bool has_db = k.loop_.data_branch_fraction > 0.0;
+  b.elems.resize(b.iterations * b.irregular_slots);
+  if (has_db) {
+    b.db_code.resize(b.iterations);
+    b.db_before.resize(b.iterations + 1);
+  }
+  std::uint32_t* elem = b.elems.data();
   std::uint32_t db_seen = 0;
   for (std::uint64_t g = 0; g < b.iterations; ++g) {
+    // Same per-RNG draw order as CompiledKernel::resolve_work_iteration.
+    for (const ReplaySlot& s : b.slots)
+      if (s.addr.irregular) *elem++ = static_cast<std::uint32_t>(k.irregular_element(s.ref, g));
+    if (!has_db) continue;
     b.db_before[g] = db_seen;
-    k.resolve_work_iteration(g, b.addrs.data() + g * S, b.db_code[g]);
+    b.db_code[g] = k.draw_data_branch();
     if (b.db_code[g] != 0) ++db_seen;
   }
-  b.db_before[b.iterations] = db_seen;
+  if (has_db) b.db_before[b.iterations] = db_seen;
   return b;
 }
 

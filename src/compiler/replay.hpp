@@ -1,11 +1,13 @@
-// The descriptor compiler for sampled simulation (ISSUE 9 tentpole, part 1).
+// The descriptor compiler for sampled simulation.
 //
 // build_replay_batch walks a CompiledKernel's work-phase iterations once —
-// through the same resolve_work_iteration the emitter uses, on a pristine
-// copy of the kernel — and lays the result out as the flat ReplayBatch
-// defined in core/replay.hpp.  cached_replay_batch fronts it with a
-// process-wide cache keyed per (kernel identity, variant, seed, engine
-// version), so repeated sweep points over the same kernel and every
+// making the same RNG draws the emitter makes, on a pristine copy of the
+// kernel — and stores the draws in the compact ReplayBatch defined in
+// core/replay.hpp: the kernel's static slots with their address formulas,
+// a 32-bit element index per irregular slot and iteration, and the
+// data-branch draws when the loop has any.  cached_replay_batch fronts it
+// with a process-wide cache keyed per (kernel identity, variant, seed,
+// engine version), so repeated sweep points over the same kernel and every
 // fast-forward region of a sampled run share one batch and never re-walk
 // the IR.
 #pragma once
@@ -18,9 +20,10 @@
 
 namespace hm {
 
-/// Resolve every work iteration of @p kernel into a fresh batch.  Pure with
+/// Draw every work iteration of @p kernel into a fresh batch.  Pure with
 /// respect to @p kernel (works on an internal copy; RNG cursors and the
-/// stream position are untouched).
+/// stream position are untouched).  Throws std::length_error when an
+/// irregular reference targets an array of 2^32 elements or more.
 ReplayBatch build_replay_batch(const CompiledKernel& kernel);
 
 /// build_replay_batch through the process-wide descriptor cache.  Thread

@@ -479,10 +479,12 @@ void OooCore::replay_functional(const ReplayBatch& b, std::uint64_t first,
   const Cycle start = st.dispatch_cycle;
   double fnow_d = static_cast<double>(start);
   const std::size_t S = b.slots.size();
+  std::vector<Addr> addrs(S);
 
   for (std::uint64_t g = first; g < first + count; ++g) {
     const Cycle fnow = static_cast<Cycle>(fnow_d);
-    const Addr* addrs = b.iter_addrs(g);
+    std::uint8_t db = 0;
+    b.decode(g, addrs.data(), db);
     for (std::size_t s = 0; s < S; ++s) {
       const ReplaySlot& sl = b.slots[s];
       const Addr orig = addrs[s];
@@ -545,13 +547,13 @@ void OooCore::replay_functional(const ReplayBatch& b, std::uint64_t first,
       fnow_d = static_cast<double>(sb_blocked);
     }
     sb_blocked = 0;
-    fnow_d += cpi * static_cast<double>(sh.uops + (b.db_code[g] != 0 ? 1u : 0u));
+    fnow_d += cpi * static_cast<double>(sh.uops + (db != 0 ? 1u : 0u));
   }
 
   // Credit the aggregate op mix (content-exact; derived from the batch
   // shape) so activity-based energy accounting stays consistent.
   const std::uint64_t uops = b.uops_in_range(first, count);
-  const std::uint64_t db_count = b.db_before[first + count] - b.db_before[first];
+  const std::uint64_t db_count = b.data_branches_in_range(first, count);
   const bool computed_nz = (sh.int_ops + sh.fp_ops) > 0 || sh.loads > 0;
   stats_.counter("int_ops").inc(count * sh.int_ops);
   stats_.counter("fp_ops").inc(count * sh.fp_ops);

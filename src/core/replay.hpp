@@ -1,23 +1,26 @@
 // Batch-compiled replay descriptors for sampled simulation.
 //
-// A ReplayBatch is the flat, fully pre-resolved form of a kernel's work
-// phase: the descriptor compiler (src/compiler/replay.*) walks every work
-// iteration ONCE, resolves all data-dependent addresses and branch draws,
-// and stores them as plain arrays.  Two consumers replay it instead of
-// re-walking the IR:
+// A ReplayBatch is the compact, pre-resolved form of a kernel's work phase:
+// the descriptor compiler (src/compiler/replay.*) walks every work
+// iteration ONCE, makes all the data-dependent draws (irregular element
+// indices and data-branch outcomes), and stores only those.  Two consumers
+// replay it instead of re-walking the IR, both through ReplayBatch::decode:
 //
 //  * the functional executor (OooCore::replay_functional) fast-forwards
 //    skipped sampling intervals by replaying the descriptors against the
 //    cache hierarchy / directory / LM — warm state without OoO scheduling;
 //  * a batch-bound CompiledKernel emits its detailed work iterations from
-//    the pre-resolved addresses, byte-identical to unbound emission by
-//    construction (the batch was resolved by the same code), which is what
-//    lets the sampling controller skip whole iterations without replaying
-//    RNG draws.
+//    the decoded addresses, byte-identical to unbound emission by
+//    construction (the batch was drawn by the same code and decodes through
+//    the same per-slot formula), which is what lets the sampling controller
+//    skip whole iterations without replaying RNG draws.
 //
-// The shape split: everything invariant across iterations (op kinds, pcs,
-// guard/double-store flags, per-iteration op counts) lives once in the
-// static section; only addresses and data-branch draws are per-iteration.
+// The layout: everything invariant across iterations (op kinds, pcs,
+// guard/double-store flags, per-iteration op counts, and each slot's
+// address formula) lives once in the static section.  A strided slot's
+// address is a pure function of the iteration, so it carries no payload;
+// the per-iteration payload is one 32-bit element index per irregular slot,
+// plus the data-branch draws when the loop has a data-dependent branch.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +33,34 @@
 
 namespace hm {
 
+/// Address formula of one static memory slot: `base + index * step`.  The
+/// index of a strided slot is the global iteration g, or its offset inside
+/// the current tile (g % iters_per_tile) when the slot addresses an LM
+/// buffer; an irregular slot's index is the element drawn for iteration g.
+/// CompiledKernel derives one per reference, and both unbound emission and
+/// ReplayBatch::decode evaluate it, so the formula exists exactly once.
+struct SlotAddress {
+  Addr base = 0;           ///< LM buffer base, or the SM array base
+  std::uint64_t step = 0;  ///< bytes per index step
+  bool tile_local = false; ///< strided LM slot: indexed by g % iters_per_tile
+  bool irregular = false;  ///< index is a per-iteration element draw
+
+  Addr at(std::uint64_t index) const { return base + index * step; }
+  /// Strided address at global iteration @p g, whose tile offset is @p local.
+  Addr strided(std::uint64_t g, std::uint64_t local) const {
+    return at(tile_local ? local : g);
+  }
+};
+
 /// One static memory slot of a work iteration: a load or store reference in
 /// emission order (loads in ref order, then stores in ref order).  A store
 /// slot with `double_store` also emits the conventional extra store at
 /// `extra_pc` to the same address (§3.1).
 struct ReplaySlot {
-  OpKind kind = OpKind::Load;   ///< Load/GuardedLoad/Store/GuardedStore
   Addr pc = 0;
   Addr extra_pc = 0;            ///< pc of the double store's plain twin
+  SlotAddress addr;
+  OpKind kind = OpKind::Load;   ///< Load/GuardedLoad/Store/GuardedStore
   std::uint16_t ref = 0;        ///< source MemRef index (store-value seed)
   bool double_store = false;    ///< store slot emits the extra plain store
   bool has_value = false;       ///< functional_stores: writes carry a value
@@ -60,32 +83,49 @@ struct ReplayIterShape {
 
 struct ReplayBatch {
   // Static shape.
-  std::vector<ReplaySlot> slots;   ///< one entry per resolved address/iter
+  std::vector<ReplaySlot> slots;   ///< one entry per memory slot per iteration
   ReplayIterShape shape;
   std::uint64_t iterations = 0;    ///< work iterations covered (= loop trip)
   std::uint64_t iters_per_tile = 0;  ///< 0 when untiled
   std::uint64_t key = 0;           ///< cache key this batch was built under
+  std::uint32_t irregular_slots = 0;  ///< slots whose addr.irregular is set
 
-  // Per-iteration payload, iteration-major: addrs[i * slots.size() + s].
-  std::vector<Addr> addrs;
+  // Per-iteration payload, iteration-major over the irregular slots only:
+  // elems[i * irregular_slots + k] is the element index of iteration i's
+  // k-th irregular slot (in slot order).
+  std::vector<std::uint32_t> elems;
   /// Data-dependent branch draw per iteration: 0 = absent, 1 = present and
-  /// not taken, 2 = present and taken.
+  /// not taken, 2 = present and taken.  Empty when the loop has no data
+  /// branch (every iteration absent).
   std::vector<std::uint8_t> db_code;
   /// Prefix sums of data-branch presence: db_before[i] = count in [0, i).
-  /// Sized iterations + 1 so uop totals over any range are O(1).
+  /// Sized iterations + 1 so uop totals over any range are O(1); empty
+  /// together with db_code.
   std::vector<std::uint32_t> db_before;
 
   std::size_t num_slots() const { return slots.size(); }
-  const Addr* iter_addrs(std::uint64_t i) const {
-    return addrs.data() + i * slots.size();
+
+  /// Addresses of iteration @p g's memory slots into @p out (num_slots()
+  /// entries) and its data-branch draw into @p db.
+  void decode(std::uint64_t g, Addr* out, std::uint8_t& db) const {
+    const std::uint64_t local = iters_per_tile != 0 ? g % iters_per_tile : g;
+    const std::uint32_t* e = elems.data() + g * irregular_slots;
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      const SlotAddress& a = slots[s].addr;
+      out[s] = a.irregular ? a.at(*e++) : a.strided(g, local);
+    }
+    db = db_code.empty() ? 0 : db_code[g];
+  }
+  /// Data-dependent branches emitted by iterations [first, first + count).
+  std::uint64_t data_branches_in_range(std::uint64_t first, std::uint64_t count) const {
+    return db_before.empty() ? 0 : db_before[first + count] - db_before[first];
   }
   /// Dynamic micro-ops emitted by iterations [first, first + count).
   std::uint64_t uops_in_range(std::uint64_t first, std::uint64_t count) const {
-    return count * shape.uops +
-           (db_before[first + count] - db_before[first]);
+    return count * shape.uops + data_branches_in_range(first, count);
   }
   Bytes bytes() const {
-    return addrs.size() * sizeof(Addr) + db_code.size() +
+    return elems.size() * sizeof(std::uint32_t) + db_code.size() +
            db_before.size() * sizeof(std::uint32_t) +
            slots.size() * sizeof(ReplaySlot);
   }

@@ -293,11 +293,12 @@ AccessResult MemoryHierarchy::access(Cycle now, Addr addr, AccessType type, Addr
 }
 
 // ---------------------------------------------------------------------------
-// Functional (sampled fast-forward) path.  Each twin below mirrors its
-// detailed counterpart line for line: same lookup order, same fills, same
-// victim handling, same prefetcher training, same Scratch traffic, same
-// port/DRAM bookings with the granted (queued) start times — minus the
-// MSHRs.  Booking and honoring the queue matters twice over: fast-forwarded
+// Functional (sampled fast-forward) path.  The prefetch, below-L2 fetch and
+// L2-victim helpers take no MSHRs, so it calls the detailed ones directly;
+// each twin below mirrors its detailed counterpart line for line: same
+// lookup order, same fills, same victim handling, same prefetcher training,
+// same Scratch traffic, same port/DRAM bookings with the granted (queued)
+// start times — minus the MSHRs.  Booking and honoring the queue matters twice over: fast-forwarded
 // regions must leave the shared timelines as dense as detailed execution
 // would (or the detailed measurement windows that follow resume against
 // empty queues and under-measure bandwidth-bound phases), and the queued
@@ -313,68 +314,12 @@ void MemoryHierarchy::functional_l3_victim(Cycle now, const EvictedLine& v, Scra
   mem_count_access(now, v.line_addr, AccessType::Write);
 }
 
-void MemoryHierarchy::functional_l2_victim(Cycle now, const EvictedLine& v, Scratch& sc) {
-  if (!v.dirty) return;
-  sc.bus_l2_l3++;
-  const auto l3r = l3_.access(v.line_addr, AccessType::Write);
-  if (l3r.hit) return;
-  if (auto l3v = l3_.fill_at(l3r, v.line_addr)) functional_l3_victim(now, *l3v, sc);
-  l3_.set_dirty_at(l3r);
-}
-
-void MemoryHierarchy::functional_fetch_below_l2(Cycle now, Addr line,
-                                                const SetAssocCache::LookupResult& l2_miss,
-                                                Scratch& sc) {
-  book_l2(now, line, sc);
-  sc.bus_l2_l3++;
-  const auto l3r = l3_.access(line, AccessType::Read);
-  if (!l3r.hit) {
-    sc.bus_l3_mem++;
-    mem_count_access(now, line, AccessType::Read);
-    if (auto v = l3_.fill_at(l3r, line)) functional_l3_victim(now, *v, sc);
-  }
-  if (auto v = l2_.fill_at(l2_miss, line, /*from_prefetch=*/true)) functional_l2_victim(now, *v, sc);
-}
-
-void MemoryHierarchy::functional_prefetches_l1(Cycle now, Addr pc, Addr addr, Scratch& sc) {
-  for (const Addr line : pf_l1_.train(pc, addr)) {
-    const auto p1 = l1d_.peek(line);
-    if (p1.hit) continue;
-    sc.bus_l1_l2++;
-    const auto p2 = l2_.peek(line);
-    if (!p2.hit) functional_fetch_below_l2(now, line, p2, sc);
-    noc_response(now, line);
-    if (auto v = l1d_.fill_at(p1, line, /*from_prefetch=*/true); v && v->dirty) {
-      functional_l2_victim(now, *v, sc);
-    }
-    note_l1_fill(line);
-  }
-}
-
-void MemoryHierarchy::functional_prefetches_l2(Cycle now, Addr pc, Addr addr, Scratch& sc) {
-  for (const Addr line : pf_l2_.train(pc, addr)) {
-    const auto p = l2_.peek(line);
-    if (p.hit) continue;
-    functional_fetch_below_l2(now, line, p, sc);
-  }
-}
-
-void MemoryHierarchy::functional_prefetches_l3(Cycle now, Addr pc, Addr addr, Scratch& sc) {
-  for (const Addr line : pf_l3_.train(pc, addr)) {
-    const auto p = l3_.peek(line);
-    if (p.hit) continue;
-    sc.bus_l3_mem++;
-    mem_count_access(now, line, AccessType::Read);
-    if (auto v = l3_.fill_at(p, line, /*from_prefetch=*/true)) functional_l3_victim(now, *v, sc);
-  }
-}
-
 Cycle MemoryHierarchy::functional_fill_from_below(Cycle now, Addr addr, Addr pc, Scratch& sc,
                                                   SetAssocCache::LookupResult* l2_loc) {
   const Cycle l2_start = book_l2(now, addr, sc);
   Cycle lat = (l2_start - now) + cfg_.l2.latency;
   sc.bus_l1_l2++;
-  functional_prefetches_l2(now, pc, addr, sc);
+  run_prefetches_l2(now, pc, addr, sc);
   const auto l2r = l2_.access(addr, AccessType::Read);
   if (l2r.hit) {
     if (l2_loc) *l2_loc = l2r;
@@ -383,7 +328,7 @@ Cycle MemoryHierarchy::functional_fill_from_below(Cycle now, Addr addr, Addr pc,
   const Cycle l3_start = book_l3(now + lat, addr, sc);
   lat = (l3_start - now) + cfg_.l3.latency;
   sc.bus_l2_l3++;
-  functional_prefetches_l3(now, pc, addr, sc);
+  run_prefetches_l3(now, pc, addr, sc);
   const auto l3r = l3_.access(addr, AccessType::Read);
   if (!l3r.hit) {
     sc.bus_l3_mem++;
@@ -391,7 +336,7 @@ Cycle MemoryHierarchy::functional_fill_from_below(Cycle now, Addr addr, Addr pc,
     lat = mem_done - now;
     if (auto v = l3_.fill_at(l3r, addr)) functional_l3_victim(now, *v, sc);
   }
-  if (auto v = l2_.fill_at(l2r, addr)) functional_l2_victim(now, *v, sc);
+  if (auto v = l2_.fill_at(l2r, addr)) handle_l2_victim(now, *v, sc);
   if (l2_loc) *l2_loc = l2r;
   return noc_response(now + lat, addr) - now;
 }
@@ -425,7 +370,7 @@ Cycle MemoryHierarchy::functional_access(Cycle now, Addr addr, AccessType type, 
   } else {
     sc.stores++;
   }
-  functional_prefetches_l1(now, pc, addr, sc);
+  run_prefetches_l1(now, pc, addr, sc);
 
   Cycle complete;
   const Cycle l1_lat = cfg_.l1d.latency;
@@ -440,7 +385,7 @@ Cycle MemoryHierarchy::functional_access(Cycle now, Addr addr, AccessType type, 
     complete = functional_wt_store(now + l1_lat, addr, pc, sc);
   } else {
     complete = now + l1_lat + functional_fill_from_below(now, addr, pc, sc);
-    if (auto v = l1d_.fill_at(l1r, addr); v && v->dirty) functional_l2_victim(now, *v, sc);
+    if (auto v = l1d_.fill_at(l1r, addr); v && v->dirty) handle_l2_victim(now, *v, sc);
     note_l1_fill(addr);
     if (type == AccessType::Write) l1d_.set_dirty_at(l1r);
   }

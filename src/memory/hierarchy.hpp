@@ -213,8 +213,9 @@ class MemoryHierarchy {
   void run_prefetches_l2(Cycle now, Addr pc, Addr addr, Scratch& sc);
   void run_prefetches_l3(Cycle now, Addr pc, Addr addr, Scratch& sc);
 
-  // Content-exact twins of the miss/fill helpers above, used exclusively by
-  // functional_access().  They perform the identical sequence of cache
+  // Content-exact twins of the MSHR-taking miss/fill helpers above, used
+  // exclusively by functional_access() (which shares the MSHR-free victim,
+  // fetch and prefetch helpers with the detailed path).  They perform the identical sequence of cache
   // lookups, fills, victim writebacks and prefetcher training — so the tag,
   // LRU, dirty and training state evolves exactly as under the detailed
   // path — and BOOK the port/DRAM slots their traffic would occupy, with
@@ -225,14 +226,8 @@ class MemoryHierarchy {
   // No MSHRs.
   Cycle functional_fill_from_below(Cycle now, Addr addr, Addr pc, Scratch& sc,
                                    SetAssocCache::LookupResult* l2_loc = nullptr);
-  void functional_l2_victim(Cycle now, const EvictedLine& v, Scratch& sc);
   void functional_l3_victim(Cycle now, const EvictedLine& v, Scratch& sc);
-  void functional_fetch_below_l2(Cycle now, Addr line,
-                                 const SetAssocCache::LookupResult& l2_miss, Scratch& sc);
   Cycle functional_wt_store(Cycle now, Addr addr, Addr pc, Scratch& sc);
-  void functional_prefetches_l1(Cycle now, Addr pc, Addr addr, Scratch& sc);
-  void functional_prefetches_l2(Cycle now, Addr pc, Addr addr, Scratch& sc);
-  void functional_prefetches_l3(Cycle now, Addr pc, Addr addr, Scratch& sc);
 
   HierarchyConfig cfg_;
   /// Non-null only for the standalone constructor; uncore_ points at it.

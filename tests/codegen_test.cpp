@@ -84,8 +84,9 @@ TEST(Codegen, DemotedStridedRefAliasingReadOnlyMappedArrayEmitsGuardedDoubleStor
   EXPECT_EQ(count_kind(ops, OpKind::Store), loop.iterations);
   // ...and every guarded access addresses the SM, never the LM window.
   for (const auto& op : ops)
-    if (op.kind == OpKind::GuardedStore || op.kind == OpKind::Store)
+    if (op.kind == OpKind::GuardedStore || op.kind == OpKind::Store) {
       EXPECT_LT(op.addr, kLmBase);
+    }
 }
 
 TEST(Codegen, CacheVariantHasNoDmaOrGuards) {
@@ -100,7 +101,9 @@ TEST(Codegen, CacheVariantHasNoDmaOrGuards) {
   EXPECT_EQ(count_kind(ops, OpKind::GuardedStore), 0u);
   // All memory addresses are SM addresses.
   for (const auto& op : ops)
-    if (op.is_mem()) EXPECT_LT(op.addr, kLmBase);
+    if (op.is_mem()) {
+      EXPECT_LT(op.addr, kLmBase);
+    }
 }
 
 TEST(Codegen, OracleVariantUnguardedButTiled) {
@@ -182,7 +185,9 @@ TEST(Codegen, DisableReadonlyOptWritesBackEverything) {
   EXPECT_EQ(count_kind(ops, OpKind::DmaPut), plan.num_tiles * plan.buffers.size());
   // And the double store disappears: a single guarded store per PI write.
   for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
-    if (ops[i].kind == OpKind::GuardedStore) EXPECT_NE(ops[i + 1].kind, OpKind::Store);
+    if (ops[i].kind == OpKind::GuardedStore) {
+      EXPECT_NE(ops[i + 1].kind, OpKind::Store);
+    }
   }
 }
 
@@ -246,7 +251,9 @@ TEST(Codegen, FunctionalStoresCarryDeterministicValues) {
                              kLmBase, kLmSize);
   const auto ops = drain(k);
   for (const auto& op : ops)
-    if (op.is_store()) EXPECT_TRUE(op.has_value);
+    if (op.is_store()) {
+      EXPECT_TRUE(op.has_value);
+    }
   EXPECT_EQ(CompiledKernel::store_value(1, 7), CompiledKernel::store_value(1, 7));
   EXPECT_NE(CompiledKernel::store_value(1, 7), CompiledKernel::store_value(2, 7));
   EXPECT_NE(CompiledKernel::store_value(1, 7), CompiledKernel::store_value(1, 8));

@@ -80,9 +80,10 @@ std::string rendered_table(const char* name) {
   // The tables are only trustworthy when the occupancy model covered the
   // whole run: any horizon overflow means understated contention.
   for (const PointResult& r : out.points)
-    if (r.ok)
+    if (r.ok) {
       EXPECT_EQ(r.report.contention_overflows(), 0u)
           << r.point.label << " overflowed the occupancy horizon";
+    }
   return render(out);
 }
 

@@ -17,6 +17,10 @@
 //  * Sampled runs are deterministic across sweep --jobs.
 //  * MemoCache counts stale-engine-version entries separately from
 //    corruption, and the sweep summary surfaces them.
+//  * Compact descriptors: a batch-bound stream emits exactly the unbound
+//    stream's micro-ops, a batch stores only its irregular element indices
+//    (and data-branch draws), and an irregular array too large for a 32-bit
+//    index is refused.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "compiler/codegen.hpp"
+#include "compiler/replay.hpp"
 #include "driver/registry.hpp"
 #include "driver/result.hpp"
 #include "driver/sweep.hpp"
@@ -342,6 +347,112 @@ TEST(Sampling, RepeatedSampledRunsAreByteIdentical) {
   const SweepPoint p = make_point("MG", 0.1);
   const std::string first = report_text(run_point(p, sampled()));
   EXPECT_EQ(first, report_text(run_point(p, sampled())));
+}
+
+// --- compact descriptors ---------------------------------------------------
+
+constexpr CodegenVariant kAllVariants[] = {
+    CodegenVariant::HybridProtocol, CodegenVariant::HybridOracle, CodegenVariant::CacheOnly};
+
+CompiledKernel compile_variant(const std::string& workload, CodegenVariant v) {
+  const Workload w = make_workload(workload, {.factor = 0.05});
+  CodegenOptions co;
+  co.variant = v;
+  co.global_seed = kPaperSeed;
+  const MachineConfig geometry = MachineConfig::hybrid_coherent();
+  return compile(w.loop, co, geometry.lm.virtual_base, geometry.lm.size, 32);
+}
+
+class CompactBatch : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CompactBatch, BoundStreamEmitsTheUnboundStream) {
+  for (const CodegenVariant v : kAllVariants) {
+    SCOPED_TRACE(static_cast<int>(v));
+    CompiledKernel unbound = compile_variant(GetParam(), v);
+    CompiledKernel bound = unbound;
+    bound.bind_replay(bound.replay_batch());
+    MicroOp a, b;
+    std::uint64_t n = 0;
+    for (;; ++n) {
+      const bool more = unbound.next(a);
+      ASSERT_EQ(more, bound.next(b)) << "streams end apart at uop " << n;
+      if (!more) break;
+      ASSERT_EQ(a.kind, b.kind) << "uop " << n;
+      ASSERT_EQ(a.phase, b.phase) << "uop " << n;
+      ASSERT_EQ(a.pc, b.pc) << "uop " << n;
+      ASSERT_EQ(a.dst, b.dst) << "uop " << n;
+      ASSERT_EQ(a.src1, b.src1) << "uop " << n;
+      ASSERT_EQ(a.src2, b.src2) << "uop " << n;
+      ASSERT_EQ(a.addr, b.addr) << "uop " << n;
+      ASSERT_EQ(a.size, b.size) << "uop " << n;
+      ASSERT_EQ(a.taken, b.taken) << "uop " << n;
+      ASSERT_EQ(a.target, b.target) << "uop " << n;
+      ASSERT_EQ(a.dma_sm, b.dma_sm) << "uop " << n;
+      ASSERT_EQ(a.dma_lm, b.dma_lm) << "uop " << n;
+      ASSERT_EQ(a.dma_size, b.dma_size) << "uop " << n;
+      ASSERT_EQ(a.dma_tag, b.dma_tag) << "uop " << n;
+      ASSERT_EQ(a.synch_mask, b.synch_mask) << "uop " << n;
+      ASSERT_EQ(a.dir_buffer_size, b.dir_buffer_size) << "uop " << n;
+      ASSERT_EQ(a.value, b.value) << "uop " << n;
+      ASSERT_EQ(a.has_value, b.has_value) << "uop " << n;
+      ASSERT_EQ(a.check_value, b.check_value) << "uop " << n;
+    }
+    EXPECT_GT(n, 0u);
+  }
+}
+
+TEST_P(CompactBatch, StoresOnlyTheIrregularDraws) {
+  for (const CodegenVariant v : kAllVariants) {
+    SCOPED_TRACE(static_cast<int>(v));
+    CompiledKernel k = compile_variant(GetParam(), v);
+    const std::shared_ptr<const ReplayBatch> b = k.replay_batch();
+    std::uint64_t irregular = 0;
+    for (const MemRef& r : k.loop().refs) irregular += r.pattern != PatternKind::Strided;
+    const std::uint64_t n = b->iterations;
+    const Bytes db = k.loop().data_branch_fraction > 0.0
+                         ? n * sizeof(std::uint8_t) + (n + 1) * sizeof(std::uint32_t)
+                         : 0;
+    EXPECT_EQ(b->bytes(), b->num_slots() * sizeof(ReplaySlot) + n * 4 * irregular + db);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTwelveWorkloads, CompactBatch,
+                         ::testing::ValuesIn(kAllWorkloads));
+
+TEST(ReplayBatchLayout, OnlyIsCarriesDataBranchDrawsAmongTheNasKernels) {
+  for (const char* w : {"CG", "EP", "FT", "IS", "MG", "SP"}) {
+    CompiledKernel k = compile_variant(w, CodegenVariant::HybridProtocol);
+    const std::shared_ptr<const ReplayBatch> b = k.replay_batch();
+    EXPECT_EQ(!b->db_code.empty(), std::string(w) == "IS") << w;
+    EXPECT_EQ(b->db_code.empty(), b->db_before.empty()) << w;
+  }
+}
+
+TEST(ReplayBatchLayout, RefusesAnIrregularArrayBeyondThirtyTwoBitIndices) {
+  // Declarations only: no array memory is ever allocated, and the batch
+  // must refuse before sizing its payload.
+  const auto loop_with = [](std::uint64_t elements) {
+    LoopNest loop;
+    loop.name = "huge_gather";
+    loop.iterations = 64;
+    loop.arrays = {{"x", 0x1000'0000, 8, elements}, {"idx", 0x8000'0000'0000, 8, 64}};
+    MemRef idx;
+    idx.name = "idx";
+    idx.array = 1;
+    MemRef gather;
+    gather.name = "x[idx]";
+    gather.array = 0;
+    gather.pattern = PatternKind::Indirect;
+    loop.refs = {idx, gather};
+    return loop;
+  };
+  const MachineConfig geometry = MachineConfig::hybrid_coherent();
+  const CompiledKernel huge = compile(loop_with(std::uint64_t{1} << 32), CodegenOptions{},
+                                      geometry.lm.virtual_base, geometry.lm.size);
+  EXPECT_THROW(build_replay_batch(huge), std::length_error);
+  const CompiledKernel fits = compile(loop_with((std::uint64_t{1} << 32) - 1), CodegenOptions{},
+                                      geometry.lm.virtual_base, geometry.lm.size);
+  EXPECT_EQ(build_replay_batch(fits).elems.size(), 64u);
 }
 
 }  // namespace
