@@ -18,6 +18,9 @@
 //    as BM_SystemRun through the interval-sampling engine.  The
 //    BM_SystemRunSampled : BM_SystemRun throughput ratio is the sampled
 //    point speedup perf_gate.py --sampled-speedup enforces.
+//  * BM_SystemBuild — the setup layer: construct a hybrid-coherent mesh
+//    System of 16 or 256 tiles and reset it, the fixed cost every mesh
+//    point pays before its first simulated cycle.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -197,6 +200,23 @@ void BM_SystemRunSampled(benchmark::State& state) {
 BENCHMARK(BM_SystemRunSampled)
     ->Arg(static_cast<int>(MachineKind::HybridCoherent))
     ->Unit(benchmark::kMillisecond);
+
+// Setup layer: build a hybrid-coherent mesh machine of state.range(0)
+// tiles (the scaling_mesh configuration) and reset every tile and the
+// uncore, as System::run does before a run.
+void BM_SystemBuild(benchmark::State& state) {
+  const auto tiles = static_cast<unsigned>(state.range(0));
+  MachineConfig cfg = driver::make_machine(driver::machine_name(MachineKind::HybridCoherent));
+  cfg.noc.topology = Topology::Mesh;
+  for (auto _ : state) {
+    System sys(cfg, tiles);
+    sys.uncore().reset();
+    for (unsigned t = 0; t < sys.num_tiles(); ++t) sys.tile(t).reset();
+    benchmark::DoNotOptimize(sys.num_tiles());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * tiles);
+}
+BENCHMARK(BM_SystemBuild)->Arg(16)->Arg(256)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

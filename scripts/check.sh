@@ -30,6 +30,13 @@ fi
 (cd build && ./hm_sweep run --filter fig8 --sample interval --scale 0.1 --jobs 2 \
   --no-cache --no-journal --quiet)
 
+# Footprint guard: the 256-tile mesh points at CI scale on one worker must
+# stay under 52 MB peak RSS (per-tile state is allocated on first touch;
+# see docs/ARCHITECTURE.md, "Per-tile footprint").
+(cd build && python3 ../scripts/peak_rss.py --max-mb 52 -- \
+  ./hm_sweep run --filter scaling_mesh --scale 0.05 --jobs 1 \
+  --no-cache --no-journal --quiet > /dev/null)
+
 # Observability smoke: the same experiment with tracing + metrics on, then
 # the trace validator and the metrics-name lint over the artifacts.
 rm -rf build/obs_smoke

@@ -7,6 +7,10 @@
 // decides which image each access reads/writes — running the same program
 // without the protocol demonstrably reads stale data (see the integration
 // tests).
+//
+// Pages are allocated on the first write of a non-zero byte: an absent page
+// reads as zero, so a zero write into it (a DMA copy of untouched memory in
+// a timing run, say) is skipped and allocates nothing.
 #pragma once
 
 #include <array>
@@ -24,10 +28,19 @@ class ByteStore {
 
   void write(Addr addr, std::span<const std::byte> data) {
     for (std::size_t i = 0; i < data.size();) {
-      Page& page = page_for(addr + i);
       const std::size_t off = static_cast<std::size_t>((addr + i) % kPageSize);
       const std::size_t chunk = std::min(data.size() - i, static_cast<std::size_t>(kPageSize) - off);
-      std::memcpy(page.data() + off, data.data() + i, chunk);
+      const Addr idx = (addr + i) / kPageSize;
+      auto it = pages_.find(idx);
+      if (it == pages_.end()) {
+        if (std::memcmp(data.data() + i, kZeroPage.data(), chunk) == 0) {
+          i += chunk;  // an absent page already reads these zeros
+          continue;
+        }
+        it = pages_.try_emplace(idx).first;
+        it->second.fill(std::byte{0});
+      }
+      std::memcpy(it->second.data() + off, data.data() + i, chunk);
       i += chunk;
     }
   }
@@ -69,21 +82,21 @@ class ByteStore {
   }
 
   void clear() { pages_.clear(); }
+  /// Pages allocated since clear(): those a non-zero byte was written to.
   std::size_t touched_pages() const { return pages_.size(); }
 
   /// Byte-for-byte logical equality with @p other: absent pages read as
   /// zero, so a written-then-zeroed page equals a never-touched one.
   /// Equivalence-test helper (sampled vs detailed memory images).
   bool same_contents(const ByteStore& other) const {
-    static const Page kZero{};
     for (const auto& [idx, page] : pages_) {
       const auto it = other.pages_.find(idx);
-      const Page& theirs = it == other.pages_.end() ? kZero : it->second;
+      const Page& theirs = it == other.pages_.end() ? kZeroPage : it->second;
       if (std::memcmp(page.data(), theirs.data(), kPageSize) != 0) return false;
     }
     for (const auto& [idx, page] : other.pages_) {
       if (pages_.find(idx) == pages_.end() &&
-          std::memcmp(page.data(), kZero.data(), kPageSize) != 0)
+          std::memcmp(page.data(), kZeroPage.data(), kPageSize) != 0)
         return false;
     }
     return true;
@@ -91,12 +104,7 @@ class ByteStore {
 
  private:
   using Page = std::array<std::byte, kPageSize>;
-
-  Page& page_for(Addr addr) {
-    auto [it, inserted] = pages_.try_emplace(addr / kPageSize);
-    if (inserted) it->second.fill(std::byte{0});
-    return it->second;
-  }
+  static constexpr Page kZeroPage{};
 
   std::unordered_map<Addr, Page> pages_;
 };

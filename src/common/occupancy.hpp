@@ -20,7 +20,11 @@
 //  * Chunks are allocated lazily from slabs as simulated time reaches them:
 //    memory stays proportional to the busy span of the run, and the
 //    steady-state booking path allocates only when it crosses into a fresh
-//    chunk (amortized: one slab allocation per kSlabChunks * 4096 buckets).
+//    chunk.  Slabs grow geometrically, 1, 2, 4, ... up to kSlabChunks
+//    chunks, so a timeline that touches a few chunks (most per-tile ones on
+//    a 256-tile mesh) holds at most twice what it touched, while a long
+//    run still amortizes one slab allocation per kSlabChunks * 4096
+//    buckets.
 //  * reset() is an epoch bump: chunks are recycled in place and lazily
 //    cleared on first touch of the new epoch, so repeated System::run calls
 //    reuse the previous run's memory without a teardown pass.
@@ -42,6 +46,7 @@
 // shared timeline has exactly one booker at a time.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -148,7 +153,7 @@ class OccupancyTimeline {
   static constexpr std::uint64_t kBucketsPerChunk = kChunkWords * 64;
   static constexpr unsigned kChunkShift = 12;  ///< log2(kBucketsPerChunk)
   static constexpr std::uint64_t kNoChunk = ~std::uint64_t{0};
-  static constexpr unsigned kSlabChunks = 16;  ///< chunks per slab allocation
+  static constexpr unsigned kSlabChunks = 16;  ///< largest slab, in chunks
   /// Horizon: 2^31 buckets (>= 2^31 cycles even at gap 1 — beyond any run
   /// this engine simulates; the chunk directory tops out at 4 MB of slots).
   static constexpr std::uint64_t kMaxBuckets = std::uint64_t{1} << 31;
@@ -182,8 +187,9 @@ class OccupancyTimeline {
     if (ci >= chunks_.size()) chunks_.resize(ci + 1, nullptr);
     Chunk* c = chunks_[ci];
     if (c == nullptr) {
-      if (slab_used_ == kSlabChunks) {
-        slabs_.push_back(std::make_unique<Chunk[]>(kSlabChunks));
+      if (slab_used_ == slab_size_) {
+        slab_size_ = slabs_.empty() ? 1 : std::min(2 * slab_size_, kSlabChunks);
+        slabs_.push_back(std::make_unique<Chunk[]>(slab_size_));
         slab_used_ = 0;
       }
       c = &slabs_.back()[slab_used_++];
@@ -360,7 +366,8 @@ class OccupancyTimeline {
   Chunk* cached_ = nullptr;             ///< ...guaranteed current-epoch
   std::vector<Chunk*> chunks_;  ///< dense directory, index = bucket >> 12
   std::vector<std::unique_ptr<Chunk[]>> slabs_;  ///< chunk arena
-  unsigned slab_used_ = kSlabChunks;
+  unsigned slab_size_ = 0;  ///< chunks in slabs_.back()
+  unsigned slab_used_ = 0;  ///< of which handed out
   std::vector<std::uint64_t> chunk_full_;  ///< level-2 summary, bit per chunk
 };
 

@@ -1,5 +1,7 @@
 #include "core/bpred.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "common/bitops.hpp"
@@ -10,10 +12,14 @@ BranchPredictor::BranchPredictor(BranchPredictorConfig cfg) : cfg_(cfg), stats_(
   if (!is_pow2(cfg_.selector_entries) || !is_pow2(cfg_.gshare_entries) ||
       !is_pow2(cfg_.bimodal_entries) || !is_pow2(cfg_.btb_entries))
     throw std::invalid_argument("predictor table sizes must be powers of two");
+  if (cfg_.btb_ways == 0 || cfg_.btb_entries % cfg_.btb_ways != 0 ||
+      !is_pow2(cfg_.btb_entries / cfg_.btb_ways) ||
+      cfg_.btb_entries / cfg_.btb_ways > std::numeric_limits<std::uint16_t>::max())
+    throw std::invalid_argument("BTB needs a power-of-two set count of at most 65535");
   bimodal_.assign(cfg_.bimodal_entries, 2);   // weakly taken
   gshare_.assign(cfg_.gshare_entries, 2);
   selector_.assign(cfg_.selector_entries, 2); // weakly prefer gshare
-  btb_.resize(cfg_.btb_entries);              // btb_entries slots, btb_ways per set
+  btb_set_slot_.assign(cfg_.btb_entries / cfg_.btb_ways, 0);  // ways allocated on first use
   ras_.assign(cfg_.ras_entries, 0);
   predictions_ = &stats_.counter("predictions");
   mispredictions_ = &stats_.counter("mispredictions");
@@ -43,11 +49,13 @@ BranchPredictor::Prediction BranchPredictor::predict(Addr pc) {
   const std::uint8_t ctr = use_gshare ? gshare_[gshare_index(pc)] : bimodal_[bimodal_index(pc)];
   p.taken = ctr >= 2;
 
-  // BTB: set-associative lookup for the target.
-  const std::size_t sets = cfg_.btb_entries / cfg_.btb_ways;
-  const std::size_t set = static_cast<std::size_t>((pc >> 2) & (sets - 1));
+  // BTB: set-associative lookup for the target.  An unallocated set holds
+  // no target.
+  const std::uint16_t slot = btb_set_slot_[btb_set(pc)];
+  if (slot == 0) return p;
+  const BtbEntry* ways = &btb_pool_[(slot - 1u) * std::size_t{cfg_.btb_ways}];
   for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
-    BtbEntry& e = btb_[set * cfg_.btb_ways + w];
+    const BtbEntry& e = ways[w];
     if (e.pc == pc) {
       p.btb_hit = true;
       p.target = e.target;
@@ -68,16 +76,26 @@ bool BranchPredictor::update(Addr pc, bool taken, Addr target) {
   const bool predicted_taken = use_gshare ? g_pred : b_pred;
 
   bool target_ok = true;
-  const std::size_t sets = cfg_.btb_entries / cfg_.btb_ways;
-  const std::size_t set = static_cast<std::size_t>((pc >> 2) & (sets - 1));
+  std::uint16_t& slot = btb_set_slot_[btb_set(pc)];
   BtbEntry* hit = nullptr;
-  BtbEntry* victim = &btb_[set * cfg_.btb_ways];
-  for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
-    BtbEntry& e = btb_[set * cfg_.btb_ways + w];
-    if (e.pc == pc) { hit = &e; break; }
-    if (e.lru < victim->lru) victim = &e;
+  BtbEntry* victim = nullptr;
+  if (slot != 0) {
+    BtbEntry* ways = &btb_pool_[(slot - 1u) * std::size_t{cfg_.btb_ways}];
+    victim = ways;
+    for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
+      BtbEntry& e = ways[w];
+      if (e.pc == pc) { hit = &e; break; }
+      if (e.lru < victim->lru) victim = &e;  // first way with the smallest lru
+    }
   }
   if (taken) {
+    if (victim == nullptr) {
+      // First taken branch in this set: allocate its ways.  All are empty
+      // (lru 0), so the victim rule picks way 0.
+      slot = static_cast<std::uint16_t>(btb_pool_.size() / cfg_.btb_ways + 1);
+      btb_pool_.resize(btb_pool_.size() + cfg_.btb_ways);
+      victim = &btb_pool_[btb_pool_.size() - cfg_.btb_ways];
+    }
     if (hit == nullptr) {
       target_ok = false;  // taken branch with no BTB target: frontend stalls
       victim->pc = pc;
@@ -127,7 +145,8 @@ void BranchPredictor::reset() {
   bimodal_.assign(cfg_.bimodal_entries, 2);
   gshare_.assign(cfg_.gshare_entries, 2);
   selector_.assign(cfg_.selector_entries, 2);
-  for (auto& e : btb_) e = BtbEntry{};
+  std::fill(btb_set_slot_.begin(), btb_set_slot_.end(), std::uint16_t{0});
+  btb_pool_.clear();
   ras_top_ = 0;
   history_ = 0;
 }

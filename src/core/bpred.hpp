@@ -1,6 +1,12 @@
 // Hybrid branch predictor (Table 1): a 4K-entry selector choosing between a
 // 4K-entry G-share and a 4K-entry bimodal predictor, a 4K-entry 4-way BTB
 // for targets, and a 32-entry return address stack.
+//
+// The BTB is stored sparsely: a per-set slot table (2 bytes per set) points
+// into a way pool that grows by one set's ways when a taken branch first
+// lands in an empty set.  A set that never saw a taken branch holds only
+// empty ways, so leaving it unallocated is exact; a 256-tile mesh then pays
+// for the sets its kernels touch instead of 96 KB of BTB per tile.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +72,13 @@ class BranchPredictor {
     Addr target = 0;
     std::uint64_t lru = 0;
   };
-  std::vector<BtbEntry> btb_;
+  std::size_t btb_set(Addr pc) const {
+    return static_cast<std::size_t>((pc >> 2) & (btb_set_slot_.size() - 1));
+  }
+  /// Per BTB set: 0 = no way allocated yet, else 1 + the index of the set's
+  /// first way in btb_pool_ / btb_ways.
+  std::vector<std::uint16_t> btb_set_slot_;
+  std::vector<BtbEntry> btb_pool_;  ///< btb_ways entries per allocated set
   std::vector<Addr> ras_;
   std::size_t ras_top_ = 0;
   std::uint64_t history_ = 0;

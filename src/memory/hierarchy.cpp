@@ -294,7 +294,7 @@ AccessResult MemoryHierarchy::access(Cycle now, Addr addr, AccessType type, Addr
 
 // ---------------------------------------------------------------------------
 // Functional (sampled fast-forward) path.  The prefetch, below-L2 fetch and
-// L2-victim helpers take no MSHRs, so it calls the detailed ones directly;
+// L2/L3-victim helpers take no MSHRs, so it calls the detailed ones directly;
 // each twin below mirrors its detailed counterpart line for line: same
 // lookup order, same fills, same victim handling, same prefetcher training,
 // same Scratch traffic, same port/DRAM bookings with the granted (queued)
@@ -307,12 +307,6 @@ AccessResult MemoryHierarchy::access(Cycle now, Addr addr, AccessType type, Addr
 // (OooCore::replay_functional).  Keeping the operation ORDER identical is
 // what makes the post-run cache image byte-comparable to a fully detailed
 // run (tests/sampling_test.cpp).
-
-void MemoryHierarchy::functional_l3_victim(Cycle now, const EvictedLine& v, Scratch& sc) {
-  if (!v.dirty) return;
-  sc.bus_l3_mem++;
-  mem_count_access(now, v.line_addr, AccessType::Write);
-}
 
 Cycle MemoryHierarchy::functional_fill_from_below(Cycle now, Addr addr, Addr pc, Scratch& sc,
                                                   SetAssocCache::LookupResult* l2_loc) {
@@ -332,9 +326,9 @@ Cycle MemoryHierarchy::functional_fill_from_below(Cycle now, Addr addr, Addr pc,
   const auto l3r = l3_.access(addr, AccessType::Read);
   if (!l3r.hit) {
     sc.bus_l3_mem++;
-    const Cycle mem_done = mem_count_access(now + lat, addr, AccessType::Read);
+    const Cycle mem_done = mem_access(now + lat, addr, AccessType::Read);
     lat = mem_done - now;
-    if (auto v = l3_.fill_at(l3r, addr)) functional_l3_victim(now, *v, sc);
+    if (auto v = l3_.fill_at(l3r, addr)) handle_l3_victim(now, *v, sc);
   }
   if (auto v = l2_.fill_at(l2r, addr)) handle_l2_victim(now, *v, sc);
   if (l2_loc) *l2_loc = l2r;

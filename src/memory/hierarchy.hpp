@@ -187,9 +187,6 @@ class MemoryHierarchy {
   Cycle mem_access(Cycle when, Addr line, AccessType type) {
     return mem_.access(when, type, uncore_.dram_channel_of(line));
   }
-  Cycle mem_count_access(Cycle when, Addr line, AccessType type) {
-    return mem_.count_access(when, type, uncore_.dram_channel_of(line));
-  }
 
   /// NoC response leg: the line travels home slice -> this tile, data
   /// ready at @p ready.  Identity when flat.
@@ -226,7 +223,6 @@ class MemoryHierarchy {
   // No MSHRs.
   Cycle functional_fill_from_below(Cycle now, Addr addr, Addr pc, Scratch& sc,
                                    SetAssocCache::LookupResult* l2_loc = nullptr);
-  void functional_l3_victim(Cycle now, const EvictedLine& v, Scratch& sc);
   Cycle functional_wt_store(Cycle now, Addr addr, Addr pc, Scratch& sc);
 
   HierarchyConfig cfg_;

@@ -47,18 +47,6 @@ class MainMemory {
     return channel_port(channel).book(now) + cfg_.latency;
   }
 
-  /// Access for the functional (sampled fast-forward) executor.  Identical
-  /// to access() — the channel slot IS booked and the queued completion
-  /// cycle returned — because fast-forwarded regions must leave the channel
-  /// timeline as dense as detailed execution would, and the store-drain
-  /// times derived from the return feed the replayed store buffer's
-  /// back-pressure.  Kept as a separate entry point so the functional call
-  /// sites stay greppable and the contract (content + contention, no MSHRs)
-  /// is documented in one place.
-  Cycle count_access(Cycle now, AccessType type, unsigned channel = 0) {
-    return access(now, type, channel);
-  }
-
   /// Grow to @p n independent channels (NoC-sliced uncore).  Channel 0 is
   /// the existing "dram" port; channels 1..n-1 get their own timelines and
   /// contention counters ("dram_ch<k>", aggregated at report time, not

@@ -5,9 +5,10 @@
 // seed's three std::vector allocations per access would trip this
 // immediately.  The single permitted allocation source is the full-run
 // occupancy timelines (common/occupancy.hpp) growing a chunk slab as
-// simulated time advances: amortized one slab per tens of thousands of
-// simulated cycles, so the budget below is a function of elapsed simulated
-// time, not of the access count.
+// simulated time advances.  Slabs double from 1 to 16 chunks, so the small
+// ones are all taken during warm-up; in steady state that is one 16-chunk
+// slab per tens of thousands of simulated cycles, and the budget below is
+// a function of elapsed simulated time, not of the access count.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -79,8 +80,9 @@ TEST(AllocationFreeFastPath, SteadyStateAccessAllocatesOnlyTimelineChunks) {
 
   // Time-proportional budget: each of the three port/channel timelines
   // (L2 gap 3, L3 gap 6, DRAM gap 4) covers >= 12288 cycles per 4096-bucket
-  // chunk and allocates chunks in 16-chunk slabs, so the steady-state rate
-  // is well under one allocation per 50k simulated cycles.  The +8 slack
+  // chunk and, once past the 1/2/4/8-chunk slabs of warm-up, allocates
+  // chunks in 16-chunk slabs, so the steady-state rate is well under one
+  // allocation per 50k simulated cycles.  The +8 slack
   // absorbs directory-vector regrowth.  Per-ACCESS allocations (the seed's
   // three vectors per access) would exceed this budget ~1000x over.
   const std::uint64_t budget = (now - t0) / 50'000 + 8;

@@ -1,6 +1,9 @@
 // Unit tests for the hybrid branch predictor.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "core/bpred.hpp"
 
@@ -109,6 +112,175 @@ TEST(Bpred, IndependentBranchesDoNotInterfereViaBimodal) {
   }
   EXPECT_TRUE(bp.update(0x1000, true, 0x100));
   EXPECT_TRUE(bp.update(0x2000, false, 0));
+}
+
+// The predictor as it was before its BTB became sparse: every set's ways
+// allocated up front in one dense table.  The sparse BTB must be
+// indistinguishable from it, prediction by prediction.
+class DenseReferencePredictor {
+ public:
+  explicit DenseReferencePredictor(BranchPredictorConfig cfg = {})
+      : cfg_(cfg),
+        bimodal_(cfg.bimodal_entries, 2),
+        gshare_(cfg.gshare_entries, 2),
+        selector_(cfg.selector_entries, 2),
+        btb_(cfg.btb_entries) {}
+
+  BranchPredictor::Prediction predict(Addr pc) {
+    ++predictions;
+    BranchPredictor::Prediction p;
+    const bool use_gshare = selector_[selector_index(pc)] >= 2;
+    p.taken = (use_gshare ? gshare_[gshare_index(pc)] : bimodal_[bimodal_index(pc)]) >= 2;
+    const std::size_t set = btb_set(pc);
+    for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
+      const BtbEntry& e = btb_[set * cfg_.btb_ways + w];
+      if (e.pc == pc) {
+        p.btb_hit = true;
+        p.target = e.target;
+        ++btb_hits;
+        break;
+      }
+    }
+    return p;
+  }
+
+  bool update(Addr pc, bool taken, Addr target) {
+    const bool use_gshare = selector_[selector_index(pc)] >= 2;
+    std::uint8_t& g = gshare_[gshare_index(pc)];
+    std::uint8_t& b = bimodal_[bimodal_index(pc)];
+    const bool g_pred = g >= 2;
+    const bool b_pred = b >= 2;
+    const bool predicted_taken = use_gshare ? g_pred : b_pred;
+    bool target_ok = true;
+    const std::size_t set = btb_set(pc);
+    BtbEntry* hit = nullptr;
+    BtbEntry* victim = &btb_[set * cfg_.btb_ways];
+    for (unsigned w = 0; w < cfg_.btb_ways; ++w) {
+      BtbEntry& e = btb_[set * cfg_.btb_ways + w];
+      if (e.pc == pc) { hit = &e; break; }
+      if (e.lru < victim->lru) victim = &e;
+    }
+    if (taken) {
+      if (hit == nullptr) {
+        target_ok = false;
+        *victim = BtbEntry{pc, target, ++btb_clock_};
+      } else {
+        target_ok = hit->target == target;
+        hit->target = target;
+        hit->lru = ++btb_clock_;
+      }
+    }
+    if (g_pred != b_pred) {
+      std::uint8_t& sel = selector_[selector_index(pc)];
+      if (g_pred == taken && sel < 3) ++sel;
+      if (b_pred == taken && sel > 0) --sel;
+    }
+    train(g, taken);
+    train(b, taken);
+    history_ = (history_ << 1) | (taken ? 1u : 0u);
+    const bool direction_ok = predicted_taken == taken;
+    const bool correct = direction_ok && (!taken || target_ok);
+    if (!direction_ok) ++direction_misses;
+    if (taken && !target_ok) ++target_misses;
+    if (!correct) ++mispredictions;
+    return correct;
+  }
+
+  void reset() {  // like the real predictor: the BTB clock keeps running
+    bimodal_.assign(cfg_.bimodal_entries, 2);
+    gshare_.assign(cfg_.gshare_entries, 2);
+    selector_.assign(cfg_.selector_entries, 2);
+    for (auto& e : btb_) e = BtbEntry{};
+    history_ = 0;
+  }
+
+  std::uint64_t predictions = 0;
+  std::uint64_t mispredictions = 0;
+  std::uint64_t direction_misses = 0;
+  std::uint64_t target_misses = 0;
+  std::uint64_t btb_hits = 0;
+
+ private:
+  struct BtbEntry {
+    Addr pc = kNoAddr;
+    Addr target = 0;
+    std::uint64_t lru = 0;
+  };
+  static void train(std::uint8_t& ctr, bool taken) {
+    if (taken && ctr < 3) ++ctr;
+    if (!taken && ctr > 0) --ctr;
+  }
+  std::size_t bimodal_index(Addr pc) const { return (pc >> 2) & (cfg_.bimodal_entries - 1); }
+  std::size_t selector_index(Addr pc) const { return (pc >> 2) & (cfg_.selector_entries - 1); }
+  std::size_t gshare_index(Addr pc) const {
+    return ((pc >> 2) ^ (history_ & low_mask(cfg_.history_bits))) & (cfg_.gshare_entries - 1);
+  }
+  std::size_t btb_set(Addr pc) const {
+    return (pc >> 2) & (cfg_.btb_entries / cfg_.btb_ways - 1);
+  }
+
+  BranchPredictorConfig cfg_;
+  std::vector<std::uint8_t> bimodal_, gshare_, selector_;
+  std::vector<BtbEntry> btb_;
+  std::uint64_t history_ = 0;
+  std::uint64_t btb_clock_ = 0;
+};
+
+TEST(Bpred, SparseBtbMatchesDenseReference) {
+  // A pc pool that overfills some BTB sets (8 pcs on each of 16 sets, so
+  // LRU victims are exercised), spreads over many others, and includes pcs
+  // whose first sighting is not taken (their set stays unallocated until a
+  // taken branch lands there).
+  constexpr unsigned kSets = 1024;
+  std::vector<Addr> pcs;
+  std::vector<double> bias;
+  Rng rng(0xB7B);
+  for (unsigned set = 0; set < 16; ++set)
+    for (unsigned k = 0; k < 8; ++k) {
+      pcs.push_back((set * 37 % kSets + Addr{k} * kSets) << 2);
+      bias.push_back(rng.uniform());
+    }
+  for (unsigned i = 0; i < 200; ++i) {
+    pcs.push_back(rng.below(1u << 24) << 2);
+    bias.push_back(i % 4 == 0 ? 0.0 : rng.uniform());  // some start never-taken
+  }
+
+  BranchPredictor bp;
+  DenseReferencePredictor ref;
+  constexpr int kBranches = 120'000;
+  for (int i = 0; i < kBranches; ++i) {
+    if (i == kBranches / 2) {
+      bp.reset();
+      ref.reset();
+    }
+    const std::size_t j = rng.below(pcs.size());
+    const Addr pc = pcs[j];
+    // Never-taken pcs turn taken late, so their first taken branch comes
+    // after many not-taken sightings.
+    const double p = bias[j] == 0.0 && i > kBranches / 4 ? 0.5 : bias[j];
+    const bool taken = rng.uniform() < p;
+    const Addr target = 0x10'0000 + (rng.below(4) << 6);
+
+    const BranchPredictor::Prediction got = bp.predict(pc);
+    const BranchPredictor::Prediction want = ref.predict(pc);
+    ASSERT_EQ(got.taken, want.taken) << "branch " << i;
+    ASSERT_EQ(got.btb_hit, want.btb_hit) << "branch " << i;
+    ASSERT_EQ(got.target, want.target) << "branch " << i;
+    ASSERT_EQ(bp.update(pc, taken, target), ref.update(pc, taken, target)) << "branch " << i;
+  }
+  EXPECT_EQ(bp.stats().value("predictions"), ref.predictions);
+  EXPECT_EQ(bp.stats().value("mispredictions"), ref.mispredictions);
+  EXPECT_EQ(bp.stats().value("direction_misses"), ref.direction_misses);
+  EXPECT_EQ(bp.stats().value("target_misses"), ref.target_misses);
+  EXPECT_EQ(bp.stats().value("btb_hits"), ref.btb_hits);
+  EXPECT_GT(ref.btb_hits, 10'000u);  // the BTB was really exercised
+  EXPECT_GT(ref.target_misses, 1'000u);
+}
+
+TEST(Bpred, RejectsBtbWithoutPow2SetCount) {
+  BranchPredictorConfig cfg;
+  cfg.btb_ways = 3;
+  EXPECT_THROW(BranchPredictor{cfg}, std::invalid_argument);
 }
 
 class BpredBias : public ::testing::TestWithParam<double> {};

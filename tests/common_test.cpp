@@ -1,6 +1,9 @@
 // Unit tests for src/common: bit ops, address masks, stats, RNG, byte store.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "common/bitops.hpp"
 #include "common/byte_store.hpp"
 #include "common/rng.hpp"
@@ -198,6 +201,54 @@ TEST(ByteStore, CopyLargerThanInternalChunk) {
   for (Addr off = 0; off < 1024; off += 8) s.store64(0x1000 + off, off * 3 + 1);
   s.copy_from(s, 0x1000, 0x40'0000, 1024);  // > the 256-byte internal buffer
   for (Addr off = 0; off < 1024; off += 8) EXPECT_EQ(s.load64(0x40'0000 + off), off * 3 + 1);
+}
+
+TEST(ByteStore, ZeroWriteToAbsentPageAllocatesNothing) {
+  ByteStore s;
+  s.store64(0x1000, 0);
+  const std::vector<std::byte> zeros(3 * ByteStore::kPageSize + 100, std::byte{0});
+  s.write(0x20'0010, zeros);  // spans four absent pages
+  EXPECT_EQ(s.touched_pages(), 0u);
+  EXPECT_EQ(s.load64(0x1000), 0u);
+  EXPECT_EQ(s.load64(0x20'0010 + 2 * ByteStore::kPageSize), 0u);
+}
+
+TEST(ByteStore, ZeroWriteClearsPresentPage) {
+  ByteStore s;
+  s.store64(0x1000, 0xFFFF'FFFF'FFFF'FFFFull);
+  s.store64(0x1008, 42);
+  s.store64(0x1000, 0);  // the page is present: the zeros must land
+  EXPECT_EQ(s.load64(0x1000), 0u);
+  EXPECT_EQ(s.load64(0x1008), 42u);
+  EXPECT_EQ(s.touched_pages(), 1u);
+}
+
+TEST(ByteStore, MixedWriteAllocatesOnlyNonZeroPages) {
+  ByteStore s;
+  std::vector<std::byte> data(2 * ByteStore::kPageSize, std::byte{0});
+  data.back() = std::byte{9};  // only the second page carries data
+  s.write(0x4000, data);
+  EXPECT_EQ(s.touched_pages(), 1u);
+  EXPECT_EQ(s.load64(0x4000 + 2 * ByteStore::kPageSize - 8), 0x0900'0000'0000'0000ull);
+}
+
+TEST(ByteStore, CopyBetweenAbsentRegionsAllocatesNothing) {
+  ByteStore s;
+  s.copy_from(s, 0x10'0000, 0x80'0000, 3 * ByteStore::kPageSize);
+  EXPECT_EQ(s.touched_pages(), 0u);
+  EXPECT_EQ(s.load64(0x80'0000), 0u);
+}
+
+TEST(ByteStore, ZeroedPageStillComparesEqualToAbsentOne) {
+  ByteStore a;
+  ByteStore b;
+  a.store64(0x3000, 5);
+  a.store64(0x3000, 0);  // present but all zero
+  EXPECT_EQ(a.touched_pages(), 1u);
+  EXPECT_TRUE(a.same_contents(b));
+  b.store64(0x5000, 1);
+  EXPECT_FALSE(a.same_contents(b));
+  EXPECT_FALSE(b.same_contents(a));
 }
 
 TEST(ByteStore, ClearDropsEverything) {

@@ -4,9 +4,11 @@
 // write-combining behaviour of the write-through L1.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "common/occupancy.hpp"
+#include "common/rng.hpp"
 #include "core/ooo_core.hpp"
 #include "memory/hierarchy.hpp"
 
@@ -133,6 +135,76 @@ TEST(OccupancyTimeline, SpanBookingCrossesChunkBoundaries) {
   const Cycle len = 10'000;  // > 2 chunks of 4096 buckets
   EXPECT_EQ(t.book_span(100, len).start, 100u);
   EXPECT_EQ(t.book_span(100, 1).start, 100u + len);
+}
+
+/// Set-of-booked-buckets model of a timeline: the slots a booking must
+/// get, independent of how the timeline lays out its chunks and slabs.
+class ReferenceTimeline {
+ public:
+  explicit ReferenceTimeline(Cycle gap) : gap_(gap) {}
+
+  OccupancyTimeline::Booking book(Cycle when) {
+    const std::uint64_t first = when / gap_;
+    const std::uint64_t b = free_from(first);
+    booked_.insert(b);
+    return {std::max(when, b * gap_), b - first, false};
+  }
+
+  OccupancyTimeline::Booking book_span(Cycle when, Cycle len) {  // gap 1
+    std::uint64_t s = when;
+    std::uint64_t skipped = 0;
+    for (auto it = booked_.lower_bound(s); it != booked_.end() && *it < s + len;
+         it = booked_.lower_bound(s)) {
+      const std::uint64_t next = free_from(*it);
+      skipped += next - *it;
+      s = next;
+    }
+    for (std::uint64_t b = s; b < s + len; ++b) booked_.insert(b);
+    return {s, skipped, false};
+  }
+
+  void reset() { booked_.clear(); }
+
+ private:
+  std::uint64_t free_from(std::uint64_t b) const {
+    for (auto it = booked_.lower_bound(b); it != booked_.end() && *it == b; ++it) ++b;
+    return b;
+  }
+
+  Cycle gap_;
+  std::set<std::uint64_t> booked_;
+};
+
+TEST(OccupancyTimeline, SparseBookingsMatchReferenceAcrossEpochs) {
+  // Bookings scattered over ~200 chunks (so the timeline grows many small
+  // and full-size slabs), with hot spots that queue, across four epochs.
+  for (const Cycle gap : {Cycle{1}, Cycle{3}, Cycle{6}}) {
+    OccupancyTimeline t(gap);
+    ReferenceTimeline ref(gap);
+    Rng rng(0x5EED + gap);
+    const Cycle span = 200 * 4096 * gap;
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      const unsigned reach = 1u << (2 * epoch + 1);  // epochs touch 2..128 regions
+      for (int i = 0; i < 3000; ++i) {
+        const Cycle base = rng.below(reach) * (span / 128);
+        const Cycle when = base + (rng.chance(0.5) ? rng.below(64) : rng.below(span / 128));
+        if (gap == 1 && rng.chance(0.3)) {
+          const Cycle len = 1 + rng.below(40);
+          const auto got = t.book_span(when, len);
+          const auto want = ref.book_span(when, len);
+          ASSERT_EQ(got.start, want.start) << "gap 1 epoch " << epoch << " span " << i;
+          ASSERT_EQ(got.skipped, want.skipped) << "gap 1 epoch " << epoch << " span " << i;
+        } else {
+          const auto got = t.book(when);
+          const auto want = ref.book(when);
+          ASSERT_EQ(got.start, want.start) << "gap " << gap << " epoch " << epoch << " op " << i;
+          ASSERT_EQ(got.skipped, want.skipped) << "gap " << gap << " epoch " << epoch << " op " << i;
+        }
+      }
+      t.reset();
+      ref.reset();
+    }
+  }
 }
 
 TEST(SharedResource, ContentionStatisticsAccumulate) {
