@@ -37,6 +37,21 @@ fi
   ./hm_sweep run --filter scaling_mesh --scale 0.05 --jobs 1 \
   --no-cache --no-journal --quiet > /dev/null)
 
+# Quarantine smoke: an injected engine fault fails exactly one point on its
+# first and only attempt; the sweep finishes with exit 3 (partial results)
+# and one `engine` row with attempts 1.  A fault kind the harness does not
+# know is a usage error (exit 2), never a silently inert plan.
+rc=0
+(cd build && HM_FAULTS='sweep_worker:engine:point=1' ./hm_sweep run --filter fig7 \
+  --jobs 2 --no-cache --no-journal --format csv > quarantine.csv 2>/dev/null) || rc=$?
+[ "$rc" -eq 3 ] || { echo "quarantine smoke: expected exit 3, got $rc"; exit 1; }
+rows=$(grep -c ',engine,1,' build/quarantine.csv || true)
+[ "$rows" -eq 1 ] || { echo "quarantine smoke: expected one engine row, got $rows"; exit 1; }
+rc=0
+(cd build && ./hm_sweep run --filter fig7 --faults 'sweep_worker:transient' \
+  --no-cache --no-journal --quiet 2>/dev/null) || rc=$?
+[ "$rc" -eq 2 ] || { echo "quarantine smoke: expected usage error (2), got $rc"; exit 1; }
+
 # Observability smoke: the same experiment with tracing + metrics on, then
 # the trace validator and the metrics-name lint over the artifacts.
 rm -rf build/obs_smoke

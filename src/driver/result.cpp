@@ -58,9 +58,7 @@ std::string_view to_string(ErrorClass c) {
   switch (c) {
     case ErrorClass::None: return "none";
     case ErrorClass::Config: return "config";
-    case ErrorClass::Transient: return "transient";
     case ErrorClass::Timeout: return "timeout";
-    case ErrorClass::CorruptCache: return "corrupt_cache";
     case ErrorClass::Engine: return "engine";
   }
   return "none";
@@ -68,9 +66,7 @@ std::string_view to_string(ErrorClass c) {
 
 ErrorClass error_class_from_name(std::string_view name) {
   if (name == "config") return ErrorClass::Config;
-  if (name == "transient") return ErrorClass::Transient;
   if (name == "timeout") return ErrorClass::Timeout;
-  if (name == "corrupt_cache") return ErrorClass::CorruptCache;
   if (name == "engine") return ErrorClass::Engine;
   return ErrorClass::None;
 }
@@ -398,8 +394,7 @@ void MemoCache::store(const PointResult& r) const {
   // file (what a bad disk or a half-written artifact looks like); throw
   // kinds propagate to the caller's taxonomy.  Placed after the rename so
   // the corrupt artifact is the durable one lookup() will meet.
-  if (trigger_fault(FaultSite::CacheStore,
-                    {r.point.label, r.point.index, r.attempts})) {
+  if (trigger_fault(FaultSite::CacheStore, {r.point.label, r.point.index})) {
     std::ofstream garble(path, std::ios::trunc);
     garble << "{corrupt";
   }

@@ -18,7 +18,7 @@
 namespace hm::driver {
 
 /// Simulate one expanded point.  Throws for unknown machine/workload names
-/// and for the `fail=1` test knob; exceptions are isolated per job by the
+/// and out-of-range knobs; exceptions are isolated per job by the
 /// scheduler.  @p cancel (optional) is polled cooperatively by the engine:
 /// a watchdog deadline or cycle budget aborts with CancelledError, which
 /// run_sweep records as a `timeout` result.
@@ -66,11 +66,8 @@ struct SweepOptions {
   /// never contaminate exact ones.
   EngineConfig engine;
 
-  // Fault tolerance.  Retries apply to ErrorClass::Transient only; the
-  // backoff doubles per attempt from `retry_backoff_ms` and is capped at
-  // 1 s (backoff perturbs wall clock, never results — points are pure).
-  unsigned max_retries = 2;        ///< extra attempts for transient failures
-  double retry_backoff_ms = 50.0;  ///< first backoff; doubles, capped at 1000
+  // Fault tolerance.  Every point runs exactly once; a failure of any
+  // class quarantines it.
   /// Per-point wall deadline in seconds (0 = unguarded).  Enforced by a
   /// watchdog thread + cooperative cancellation; an expired point is
   /// recorded as ErrorClass::Timeout.  Wall timeouts are host-dependent —
@@ -92,9 +89,9 @@ struct SweepOptions {
   // trace_event JSON under trace_dir/<experiment>/: one point_NNNN.trace.json
   // per executed point (simulated-cycle engine timelines + wall phase
   // spans), a sweep.trace.json for driver-level events (job lifecycle,
-  // journal appends, cache hits, retry backoffs) and a profile.json with
-  // per-point phase attribution.  Tracing never perturbs simulated results
-  // — emitted JSON/CSV is byte-identical with tracing on or off.
+  // journal appends, cache hits) and a profile.json with per-point phase
+  // attribution.  Tracing never perturbs simulated results — emitted
+  // JSON/CSV is byte-identical with tracing on or off.
   std::string trace_dir;  ///< "" = tracing off
   /// Per-point callback after every EXECUTED point (not cache hits), from
   /// worker threads.  Exception-guarded like `progress`: a throwing
@@ -108,7 +105,6 @@ struct SweepOutcome {
   std::size_t cache_hits = 0;
   std::size_t failures = 0;       ///< quarantined points (any error class)
   std::size_t timeouts = 0;       ///< subset of failures: ErrorClass::Timeout
-  std::size_t retries = 0;        ///< extra attempts consumed by transients
   std::size_t resumed = 0;        ///< points replayed from the journal
   std::size_t cache_corrupt = 0;  ///< corrupt memo-cache files (degraded to misses)
   std::size_t stale_entries = 0;  ///< memo-cache entries skipped: older engine version

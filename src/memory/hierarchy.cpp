@@ -293,69 +293,21 @@ AccessResult MemoryHierarchy::access(Cycle now, Addr addr, AccessType type, Addr
 }
 
 // ---------------------------------------------------------------------------
-// Functional (sampled fast-forward) path.  The prefetch, below-L2 fetch and
-// L2/L3-victim helpers take no MSHRs, so it calls the detailed ones directly;
-// each twin below mirrors its detailed counterpart line for line: same
-// lookup order, same fills, same victim handling, same prefetcher training,
-// same Scratch traffic, same port/DRAM bookings with the granted (queued)
-// start times — minus the MSHRs.  Booking and honoring the queue matters twice over: fast-forwarded
-// regions must leave the shared timelines as dense as detailed execution
-// would (or the detailed measurement windows that follow resume against
-// empty queues and under-measure bandwidth-bound phases), and the queued
-// completion times feed the replayed store buffer's drain state, whose
-// back-pressure the replay clock stalls on exactly like detailed dispatch
+// Functional (sampled fast-forward) path.  It shares every helper with the
+// detailed path — below-L1 fill, write-through store, prefetches, victims —
+// so the lookup order, fills, victim handling, prefetcher training, Scratch
+// traffic and port/DRAM bookings (with their granted, queued starts) are
+// the detailed ones by construction.  What it leaves out: the MSHRs, and
+// the below-L1 fill is booked at `now` rather than `now + l1_lat`.  Booking
+// and honoring the queue matters twice over: fast-forwarded regions must
+// leave the shared timelines as dense as detailed execution would (or the
+// detailed measurement windows that follow resume against empty queues and
+// under-measure bandwidth-bound phases), and the queued completion times
+// feed the replayed store buffer's drain state, whose back-pressure the
+// replay clock stalls on exactly like detailed dispatch
 // (OooCore::replay_functional).  Keeping the operation ORDER identical is
 // what makes the post-run cache image byte-comparable to a fully detailed
 // run (tests/sampling_test.cpp).
-
-Cycle MemoryHierarchy::functional_fill_from_below(Cycle now, Addr addr, Addr pc, Scratch& sc,
-                                                  SetAssocCache::LookupResult* l2_loc) {
-  const Cycle l2_start = book_l2(now, addr, sc);
-  Cycle lat = (l2_start - now) + cfg_.l2.latency;
-  sc.bus_l1_l2++;
-  run_prefetches_l2(now, pc, addr, sc);
-  const auto l2r = l2_.access(addr, AccessType::Read);
-  if (l2r.hit) {
-    if (l2_loc) *l2_loc = l2r;
-    return noc_response(now + lat, addr) - now;
-  }
-  const Cycle l3_start = book_l3(now + lat, addr, sc);
-  lat = (l3_start - now) + cfg_.l3.latency;
-  sc.bus_l2_l3++;
-  run_prefetches_l3(now, pc, addr, sc);
-  const auto l3r = l3_.access(addr, AccessType::Read);
-  if (!l3r.hit) {
-    sc.bus_l3_mem++;
-    const Cycle mem_done = mem_access(now + lat, addr, AccessType::Read);
-    lat = mem_done - now;
-    if (auto v = l3_.fill_at(l3r, addr)) handle_l3_victim(now, *v, sc);
-  }
-  if (auto v = l2_.fill_at(l2r, addr)) handle_l2_victim(now, *v, sc);
-  if (l2_loc) *l2_loc = l2r;
-  return noc_response(now + lat, addr) - now;
-}
-
-Cycle MemoryHierarchy::functional_wt_store(Cycle now, Addr addr, Addr pc, Scratch& sc) {
-  const Addr line = l1d_.line_base(addr);
-  WcbEntry* slot = &wcb_[0];
-  for (WcbEntry& e : wcb_) {
-    if (e.line == line && e.drain > now) return e.drain;
-    if (e.drain < slot->drain) slot = &e;
-  }
-  sc.wt_traffic++;
-  sc.bus_l1_l2++;
-  Cycle drain;
-  if (l2_.access(addr, AccessType::Write).hit) {
-    drain = book_l2(now, addr, sc) + cfg_.l2.latency;
-  } else {
-    SetAssocCache::LookupResult l2_loc;
-    drain = now + functional_fill_from_below(now, addr, pc, sc, &l2_loc);
-    l2_.set_dirty_at(l2_loc);
-  }
-  slot->line = line;
-  slot->drain = drain;
-  return drain;
-}
 
 Cycle MemoryHierarchy::functional_access(Cycle now, Addr addr, AccessType type, Addr pc) {
   Scratch sc;
@@ -372,13 +324,14 @@ Cycle MemoryHierarchy::functional_access(Cycle now, Addr addr, AccessType type, 
   if (l1r.hit) {
     complete = now + l1_lat;
     if (type == AccessType::Write && cfg_.l1d.write_policy == WritePolicy::WriteThrough) {
-      complete = functional_wt_store(now, addr, pc, sc);
+      complete = wt_store(now, addr, pc, sc);
     }
   } else if (type == AccessType::Write &&
              cfg_.l1d.write_policy == WritePolicy::WriteThrough) {
-    complete = functional_wt_store(now + l1_lat, addr, pc, sc);
+    complete = wt_store(now + l1_lat, addr, pc, sc);
   } else {
-    complete = now + l1_lat + functional_fill_from_below(now, addr, pc, sc);
+    ServedBy served = ServedBy::CacheL2;
+    complete = now + l1_lat + fill_from_below(now, addr, pc, served, sc);
     if (auto v = l1d_.fill_at(l1r, addr); v && v->dirty) handle_l2_victim(now, *v, sc);
     note_l1_fill(addr);
     if (type == AccessType::Write) l1d_.set_dirty_at(l1r);

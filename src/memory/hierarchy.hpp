@@ -72,14 +72,14 @@ class MemoryHierarchy {
   /// for prefetcher training.
   AccessResult access(Cycle now, Addr addr, AccessType type, Addr pc);
 
-  /// Content-only twin of access() for the sampled engine's functional
-  /// fast-forward: performs the identical sequence of cache tag/LRU/dirty
-  /// updates, prefetcher training and fill/victim traffic — so cache,
-  /// directory-visible and prefetcher state stay warm and activity counters
-  /// stay exact — but books no port/DRAM occupancy and skips the MSHRs.
-  /// Returns an approximate completion cycle (configured latencies, no
-  /// queueing) used only for write-window modelling.  Serial engine only:
-  /// must not run concurrently with other tiles.
+  /// access() for the sampled engine's functional fast-forward.  It calls
+  /// the same below-L1 fill, write-through store, prefetch and victim
+  /// helpers, so cache tag/LRU/dirty state, prefetcher training, activity
+  /// counters and port/DRAM occupancy bookings evolve as under access().
+  /// It differs in two ways: it takes no MSHRs, and it books the below-L1
+  /// fill at @p now rather than at now + L1 latency.  Returns the completion
+  /// cycle (granted, queued starts included), which feeds the replayed
+  /// store buffer's drain state.
   Cycle functional_access(Cycle now, Addr addr, AccessType type, Addr pc);
 
   /// Coherent dma-get bus request for one line: read from this tile's L1 if
@@ -209,21 +209,6 @@ class MemoryHierarchy {
   void run_prefetches_l1(Cycle now, Addr pc, Addr addr, Scratch& sc);
   void run_prefetches_l2(Cycle now, Addr pc, Addr addr, Scratch& sc);
   void run_prefetches_l3(Cycle now, Addr pc, Addr addr, Scratch& sc);
-
-  // Content-exact twins of the MSHR-taking miss/fill helpers above, used
-  // exclusively by functional_access() (which shares the MSHR-free victim,
-  // fetch and prefetch helpers with the detailed path).  They perform the identical sequence of cache
-  // lookups, fills, victim writebacks and prefetcher training — so the tag,
-  // LRU, dirty and training state evolves exactly as under the detailed
-  // path — and BOOK the port/DRAM slots their traffic would occupy, with
-  // the granted (queued) starts reflected in the returned latency.  Booking
-  // keeps the shared timelines dense across fast-forwarded regions so the
-  // detailed intervals between them observe realistic contention, and the
-  // queued drain times give the replayed store buffer real back-pressure.
-  // No MSHRs.
-  Cycle functional_fill_from_below(Cycle now, Addr addr, Addr pc, Scratch& sc,
-                                   SetAssocCache::LookupResult* l2_loc = nullptr);
-  Cycle functional_wt_store(Cycle now, Addr addr, Addr pc, Scratch& sc);
 
   HierarchyConfig cfg_;
   /// Non-null only for the standalone constructor; uncore_ points at it.

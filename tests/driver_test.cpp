@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "driver/experiment.hpp"
+#include "driver/faults.hpp"
 #include "driver/registry.hpp"
 #include "driver/result.hpp"
 #include "driver/scheduler.hpp"
@@ -267,10 +268,11 @@ TEST(Sweep, SeedReachesTheKernel) {
 }
 
 TEST(Sweep, FailingPointIsIsolatedAndReported) {
+  const ScopedFaultPlan plan("sweep_worker:engine:point=1");
   ExperimentSpec s = tiny_spec();
   s.grids[0].axes = {{"workload", {"CG"}},
                      {"machine", {"hybrid_coherent"}},
-                     {"fail", {"0", "1"}}};
+                     {"variant", {"a", "b"}}};
   SweepOptions opt;
   opt.jobs = 2;
   const SweepOutcome out = run_sweep(s, opt);
@@ -278,7 +280,9 @@ TEST(Sweep, FailingPointIsIsolatedAndReported) {
   EXPECT_EQ(out.failures, 1u);
   EXPECT_TRUE(out.points[0].ok);
   EXPECT_FALSE(out.points[1].ok);
-  EXPECT_NE(out.points[1].error.find("injected failure"), std::string::npos);
+  EXPECT_NE(out.points[1].error.find("injected engine fault"), std::string::npos);
+  EXPECT_EQ(out.points[1].error_class, ErrorClass::Engine);
+  EXPECT_EQ(out.points[1].attempts, 1u);
   // Rendering (generic renderer) must not throw on failed points.
   EXPECT_NE(render(out).find("FAILED"), std::string::npos);
   EXPECT_NE(to_json(out).find("\"ok\":false"), std::string::npos);
